@@ -126,6 +126,13 @@ func run() int {
 		return fatal("%v", err)
 	}
 
+	// First signal: graceful drain. Second signal: force the checkpoint path
+	// immediately. The handler goes in before the address file is written
+	// and before the server answers /readyz, so a signal sent the moment the
+	// daemon is reachable still drains it.
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *f.addr)
 	if err != nil {
 		return fatal("listen: %v", err)
@@ -145,10 +152,6 @@ func run() int {
 	rec.Logf(obs.Info, "dpplaced", "listening on http://%s (data %s, workers %d)",
 		ln.Addr(), *f.data, s.Stats().WorkersTotal)
 
-	// First signal: graceful drain. Second signal: force the checkpoint path
-	// immediately.
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		return fatal("http server: %v", err)

@@ -283,6 +283,38 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 	d3.exitCode(t, 60*time.Second)
 }
 
+// TestDaemonSIGTERMAtFirstReady sends SIGTERM the instant /readyz first
+// answers 200 and requires a clean drain (exit 0). The daemon must trap
+// the signal before it reports ready; otherwise the signal's default action
+// kills it undrained. Several boots widen the window the check covers.
+func TestDaemonSIGTERMAtFirstReady(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	for boot := 0; boot < 3; boot++ {
+		d := startDaemon(t, t.TempDir())
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			resp, err := http.Get(d.url("/readyz"))
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					break
+				}
+			}
+			if time.Now().After(deadline) {
+				d.cmd.Process.Kill()
+				t.Fatalf("boot %d: /readyz never answered 200", boot)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		d.cmd.Process.Signal(syscall.SIGTERM)
+		if code := d.exitCode(t, 60*time.Second); code != exitOK {
+			t.Fatalf("boot %d: SIGTERM at first ready exited %d, want %d", boot, code, exitOK)
+		}
+	}
+}
+
 // TestDaemonForcedDrainCheckpoints covers the second-signal path: a grinding
 // job cannot finish, the drain deadline forces a checkpoint, the daemon
 // exits 3 and the next instance requeues the job.

@@ -135,8 +135,6 @@ type Potential struct {
 	tabX     axisTables // x-axis bell constants + current tables
 	tabY     axisTables // y-axis bell constants + current tables
 	valReady bool       // a Value pass has filled the tables and residuals
-	rowStart []int      // CSR offsets into rowCells, one per grid row (+1)
-	rowCells []int32    // movable-list indices whose kernel touches the row, ascending
 }
 
 // NewPotential prepares a potential for nl over grid with the given target
@@ -261,7 +259,6 @@ func (p *Potential) ensureScratch() {
 	p.tabX.dp = make([]float64, p.tabX.off[n])
 	p.tabY.p = make([]float64, p.tabY.off[n])
 	p.tabY.dp = make([]float64, p.tabY.off[n])
-	p.rowStart = make([]int, g.NY+1)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -302,46 +302,63 @@ func benchName(i int) string {
 	return "b" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+i/676))
 }
 
-// TestPotentialParallelMatchesSerial asserts the row-tiled parallel
+// TestPotentialParallelMatchesSerial asserts the band-tiled parallel
 // evaluation is bit-identical to the serial one at several worker counts,
-// with and without gradients.
+// with and without gradients. The second grid has 17 rows, which no band
+// count here divides, and carries tall cells whose kernels span many rows
+// and so straddle band edges.
 func TestPotentialParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	nl := netlist.New("par")
-	const n = 300
-	for i := 0; i < n; i++ {
-		nl.MustAddCell(cellName(i)+"p", "STD", 2+rng.Float64()*18, 4, i%11 == 0)
-	}
-	pl := netlist.NewPlacement(nl)
-	g := geom.NewGrid(geom.NewRect(0, 0, 100, 100), 16, 16)
-	cx := make([]float64, n)
-	cy := make([]float64, n)
-	for i := range cx {
-		cx[i] = rng.Float64() * 100
-		cy[i] = rng.Float64() * 100
-	}
-
-	serial := NewPotential(nl, pl, g, 0.5)
-	gxS := make([]float64, n)
-	gyS := make([]float64, n)
-	fS := serial.Eval(cx, cy, gxS, gyS)
-
-	for _, workers := range []int{2, 3, 8} {
-		p := NewPotential(nl, pl, g, 0.5)
-		p.SetParallel(par.New(workers), context.Background())
-		gx := make([]float64, n)
-		gy := make([]float64, n)
-		if f := p.Eval(cx, cy, gx, gy); f != fS {
-			t.Fatalf("workers=%d: N = %v, serial %v", workers, f, fS)
-		}
-		for i := range gx {
-			if gx[i] != gxS[i] || gy[i] != gyS[i] {
-				t.Fatalf("workers=%d: grad[%d] = (%v,%v), serial (%v,%v)",
-					workers, i, gx[i], gy[i], gxS[i], gyS[i])
+	for _, c := range []struct {
+		ny   int
+		maxH float64
+	}{{16, 4}, {17, 40}} {
+		rng := rand.New(rand.NewSource(5))
+		nl := netlist.New("par")
+		const n = 300
+		for i := 0; i < n; i++ {
+			h := 4.0
+			if c.maxH > h && i%3 == 0 {
+				h = 4 + rng.Float64()*(c.maxH-4)
 			}
+			nl.MustAddCell(cellName(i)+"p", "STD", 2+rng.Float64()*18, h, i%11 == 0)
 		}
-		if f := p.Eval(cx, cy, nil, nil); f != fS {
-			t.Fatalf("workers=%d no-grad: N = %v, serial %v", workers, f, fS)
+		pl := netlist.NewPlacement(nl)
+		g := geom.NewGrid(geom.NewRect(0, 0, 100, 100), 16, c.ny)
+		cx := make([]float64, n)
+		cy := make([]float64, n)
+		for i := range cx {
+			cx[i] = rng.Float64() * 100
+			cy[i] = rng.Float64() * 100
+		}
+
+		serial := NewPotential(nl, pl, g, 0.5)
+		gxS := make([]float64, n)
+		gyS := make([]float64, n)
+		fS := serial.Eval(cx, cy, gxS, gyS)
+
+		for _, workers := range []int{2, 3, 4, 8} {
+			p := NewPotential(nl, pl, g, 0.5)
+			p.SetParallel(par.New(workers), context.Background())
+			gx := make([]float64, n)
+			gy := make([]float64, n)
+			if f := p.Eval(cx, cy, gx, gy); f != fS {
+				t.Fatalf("NY=%d workers=%d: N = %v, serial %v", c.ny, workers, f, fS)
+			}
+			for i := range p.dens {
+				if p.dens[i] != serial.dens[i] {
+					t.Fatalf("NY=%d workers=%d: bin %d density %v, serial %v",
+						c.ny, workers, i, p.dens[i], serial.dens[i])
+				}
+			}
+			for i := range gx {
+				if gx[i] != gxS[i] || gy[i] != gyS[i] {
+					t.Fatalf("NY=%d workers=%d: grad[%d] = (%v,%v), serial (%v,%v)",
+						c.ny, workers, i, gx[i], gy[i], gxS[i], gyS[i])
+				}
+			}
+			if f := p.Eval(cx, cy, nil, nil); f != fS {
+				t.Fatalf("NY=%d workers=%d no-grad: N = %v, serial %v", c.ny, workers, f, fS)
+			}
 		}
 	}
 }

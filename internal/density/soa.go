@@ -16,11 +16,12 @@ import "math"
 // Buffer ownership follows the compute-then-reduce discipline of package
 // par: the table-fill and gradient passes shard by cell and write only
 // slots owned by that cell (fixed CSR table ranges, gradient components);
-// the splat shards by bin row with cells visited in ascending order inside
-// each row, matching the serial cell-order accumulation bit for bit. Value
-// must run before Gradient at the same coordinates — Eval composes the two;
-// the split exists so the engine's delta evaluator can reuse a cached value
-// and still get a fresh gradient from the stored tables.
+// the splat gives each worker a contiguous band of bin rows and visits the
+// cells in ascending order inside it, so every bin receives the serial
+// cell-order accumulation bit for bit. Value must run before Gradient at
+// the same coordinates — Eval composes the two; the split exists so the
+// engine's delta evaluator can reuse a cached value and still get a fresh
+// gradient from the stored tables.
 
 // axisTables is the per-axis half of the SoA scratch: the bell constants of
 // every movable cell and its current table fill.
@@ -162,7 +163,8 @@ func (p *Potential) Value(cx, cy []float64) float64 {
 
 	// Pass 1: per-cell table fill and separable normalization. Each cell
 	// owns its fixed table range and norm slot, so cells shard freely.
-	if err := p.pool.Run(p.ctx, len(p.movable), 64, func(lo, hi int) {
+	nm := len(p.movable)
+	if err := p.pool.Run(p.ctx, nm, p.pool.Grain(nm, 64), func(lo, hi int) {
 		for mi := lo; mi < hi; mi++ {
 			ci := int(p.movable[mi])
 			sx := p.tabX.fill(mi, cx[ci], g.Region.Lo.X, g.BinW, g.NX)
@@ -182,28 +184,20 @@ func (p *Potential) Value(cx, cy []float64) float64 {
 		return math.NaN()
 	}
 
-	// Pass 2: density splat from the tables. Serial runs accumulate in cell
-	// order; parallel runs tile by bin row with cells ascending within each
-	// row — the same per-bin addition order, so the bins are bit-identical
-	// at every worker count.
+	// Pass 2: density splat from the tables, one contiguous band of bin rows
+	// per worker. Inside its band a worker visits the cells in ascending
+	// order, so every bin receives the serial loop's additions in the serial
+	// loop's order and the bins are bit-identical at every worker count; the
+	// serial path is the one-band case.
 	for i := range p.dens {
 		p.dens[i] = 0
 	}
-	if p.pool.Workers() == 1 {
+	if err := p.pool.ForShards(p.ctx, g.NY, p.pool.Workers(), func(_, j0, j1 int) {
 		for mi := range p.norm {
-			p.splatCell(mi)
+			p.splatCell(mi, j0, j1)
 		}
-	} else {
-		p.buildRowIndex()
-		if err := p.pool.Run(p.ctx, g.NY, 2, func(loRow, hiRow int) {
-			for j := loRow; j < hiRow; j++ {
-				for _, mi := range p.rowCells[p.rowStart[j]:p.rowStart[j+1]] {
-					p.splatRow(int(mi), j)
-				}
-			}
-		}); err != nil {
-			return math.NaN()
-		}
+	}); err != nil {
+		return math.NaN()
 	}
 
 	// Pass 3: objective and residuals, serial in bin order.
@@ -225,40 +219,23 @@ func (p *Potential) Value(cx, cy []float64) float64 {
 	return n
 }
 
-// splatRow adds one cell's contribution to the bins of grid row j; the
-// parallel splat's unit of work.
+// splatCell adds one cell's contribution to the bins of grid rows
+// [j0, j1) that its kernel touches; the splat's unit of work. A band of
+// rows only ever receives additions from the cells that overlap it, in the
+// order the caller visits the cells.
 //
 //placelint:hotpath
-func (p *Potential) splatRow(mi, j int) {
-	nrm := p.norm[mi]
-	if nrm == 0 {
+func (p *Potential) splatCell(mi, j0, j1 int) {
+	jLo, jHi := p.tabY.iLo[mi], p.tabY.iHi[mi]
+	if jLo < j0 {
+		jLo = j0
+	}
+	if jHi > j1 {
+		jHi = j1
+	}
+	if jLo >= jHi {
 		return
 	}
-	g := p.grid
-	c := nrm * p.tabY.p[int(p.tabY.off[mi])+j-p.tabY.i0[mi]]
-	if c == 0 {
-		return
-	}
-	iLo, iHi := p.tabX.iLo[mi], p.tabX.iHi[mi]
-	if iLo >= iHi {
-		return
-	}
-	row := p.dens[g.Index(iLo, j):g.Index(iHi, j)]
-	base := int(p.tabX.off[mi]) - p.tabX.i0[mi]
-	tab := p.tabX.p[base+iLo : base+iHi]
-	for k := range row {
-		row[k] += c * tab[k]
-	}
-}
-
-// splatCell adds one cell's contribution to every bin row it touches; the
-// serial splat's unit of work. It performs exactly splatRow's additions in
-// the same row order, with the cell-level table lookups hoisted out of the
-// row loop (the serial path visits every row of a cell back to back, so the
-// shared loads pay off; the parallel path cannot, it owns rows not cells).
-//
-//placelint:hotpath
-func (p *Potential) splatCell(mi int) {
 	nrm := p.norm[mi]
 	if nrm == 0 {
 		return
@@ -272,7 +249,7 @@ func (p *Potential) splatCell(mi int) {
 	yBase := int(p.tabY.off[mi]) - p.tabY.i0[mi]
 	dens, tabY := p.dens, p.tabY.p
 	tab := p.tabX.p[xBase+iLo : xBase+iHi]
-	for j := p.tabY.iLo[mi]; j < p.tabY.iHi[mi]; j++ {
+	for j := jLo; j < jHi; j++ {
 		c := nrm * tabY[yBase+j]
 		if c == 0 {
 			continue
@@ -295,7 +272,8 @@ func (p *Potential) Gradient(gx, gy []float64) bool {
 	}
 	g := p.grid
 	nx := g.NX
-	err := p.pool.Run(p.ctx, len(p.movable), 64, func(lo, hi int) {
+	nm := len(p.movable)
+	err := p.pool.Run(p.ctx, nm, p.pool.Grain(nm, 64), func(lo, hi int) {
 		tabX, tabY := &p.tabX, &p.tabY
 		norm, diffAll, movable := p.norm, p.diff, p.movable
 		for mi := lo; mi < hi; mi++ {
@@ -337,36 +315,4 @@ func (p *Potential) Gradient(gx, gy []float64) bool {
 		}
 	})
 	return err == nil
-}
-
-// buildRowIndex fills rowStart/rowCells with, per grid row, the movable
-// cells whose kernel support overlaps it, in ascending movable order. The
-// clamped row ranges come from the tables filled by the current Value pass.
-func (p *Potential) buildRowIndex() {
-	g := p.grid
-	for i := range p.rowStart {
-		p.rowStart[i] = 0
-	}
-	for mi := range p.norm {
-		for j := p.tabY.iLo[mi]; j < p.tabY.iHi[mi]; j++ {
-			p.rowStart[j+1]++
-		}
-	}
-	total := 0
-	for j := 0; j < g.NY; j++ {
-		total += p.rowStart[j+1]
-		p.rowStart[j+1] = total
-	}
-	if cap(p.rowCells) < total {
-		p.rowCells = make([]int32, total)
-	}
-	p.rowCells = p.rowCells[:total]
-	fill := make([]int, g.NY)
-	copy(fill, p.rowStart[:g.NY])
-	for mi := range p.norm {
-		for j := p.tabY.iLo[mi]; j < p.tabY.iHi[mi]; j++ {
-			p.rowCells[fill[j]] = int32(mi)
-			fill[j]++
-		}
-	}
 }

@@ -136,9 +136,9 @@ func TestGradientBeforeValuePanics(t *testing.T) {
 	p.Gradient(make([]float64, len(nl.Cells)), make([]float64, len(nl.Cells)))
 }
 
-// TestValueSerialMatchesRowTiled checks the serial splat fast path against
-// the row-tiled parallel schedule bitwise at several worker counts.
-func TestValueSerialMatchesRowTiled(t *testing.T) {
+// TestValueSerialMatchesBandTiled checks the one-band serial splat against
+// the band-tiled parallel schedule bitwise at several worker counts.
+func TestValueSerialMatchesBandTiled(t *testing.T) {
 	nl, pl, grid := soaProblem(17, 200)
 	cx := make([]float64, len(nl.Cells))
 	cy := make([]float64, len(nl.Cells))

@@ -48,6 +48,101 @@ func randProblem(seed int64, nCells, nNets int) (*netlist.Netlist, *netlist.Plac
 	return nl, pl, core
 }
 
+// gatherProblem extends randProblem with every pin shape the gradient
+// gather must get right: pad pins (no cell), degree-1 nets (skipped), a
+// cell with two pins on one net, non-unit net weights, and hard-alignment
+// groups, whose cells share one variable per column. It returns the
+// groups alongside the problem.
+func gatherProblem(seed int64) (*netlist.Netlist, *netlist.Placement, *geom.Core, []AlignGroup) {
+	nl, pl, core := randProblem(seed, 150, 180)
+	rng := rand.New(rand.NewSource(seed + 100))
+	for i := 0; i < 40; i++ {
+		a := netlist.CellID(rng.Intn(150))
+		b := netlist.CellID(rng.Intn(150))
+		ends := []netlist.Endpoint{
+			{Cell: a, Pin: fmt.Sprintf("ga%d", i), DX: 1},
+			{Cell: a, Pin: fmt.Sprintf("gb%d", i), DX: 3, DY: 2}, // two pins of a on one net
+			{Cell: netlist.NoCell, Pin: fmt.Sprintf("pad%d", i), DX: rng.Float64() * 400, DY: rng.Float64() * 400},
+			{Cell: b, Pin: fmt.Sprintf("gc%d", i), DY: 1},
+		}
+		nl.MustAddNet(fmt.Sprintf("g%d", i), 0.5+rng.Float64()*3, ends...)
+		// A degree-1 net: the engine skips it everywhere.
+		nl.MustAddNet(fmt.Sprintf("d%d", i), 2, netlist.Endpoint{
+			Cell: netlist.CellID(rng.Intn(150)), Pin: fmt.Sprintf("d%d", i),
+		})
+	}
+	// Two hard-alignment groups over movable cells: 4×6 and 3×5 bits.
+	next := 1
+	take := func() netlist.CellID {
+		for nl.Cells[next].Fixed {
+			next++
+		}
+		next++
+		return netlist.CellID(next - 1)
+	}
+	var groups []AlignGroup
+	for _, shape := range [][2]int{{4, 6}, {3, 5}} {
+		g := AlignGroup{}
+		for col := 0; col < shape[0]; col++ {
+			var bits []netlist.CellID
+			for b := 0; b < shape[1]; b++ {
+				bits = append(bits, take())
+			}
+			g.Cols = append(g.Cols, bits)
+		}
+		groups = append(groups, g)
+	}
+	return nl, pl, core, groups
+}
+
+// scatterInNetOrder is the serial reduction the gradient gather replaced:
+// walk the nets in order and add each pin's weighted gradient onto its
+// cell. It is the oracle the gather is compared against.
+func scatterInNetOrder(e *engine) (gx, gy []float64) {
+	gx = make([]float64, len(e.gxFull))
+	gy = make([]float64, len(e.gyFull))
+	for ni := range e.netWeight {
+		off, end := int(e.netOff[ni]), int(e.netOff[ni+1])
+		if end-off < 2 {
+			continue
+		}
+		w := e.netWeight[ni]
+		for k := off; k < end; k++ {
+			c := e.pinCell[k]
+			if c < 0 || e.xVar[c] < 0 {
+				continue
+			}
+			gx[c] += w * e.pinGX[k]
+			gy[c] += w * e.pinGY[k]
+		}
+	}
+	return gx, gy
+}
+
+// TestGatherMatchesNetOrderScatter compares the per-cell gradient gather
+// against the serial net-order scatter bitwise, at several worker counts,
+// on a problem with pads, degree-1 nets, repeated pins and hard groups.
+func TestGatherMatchesNetOrderScatter(t *testing.T) {
+	nl, pl, core, groups := gatherProblem(11)
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		e := testEngine(nl, pl, core, Options{Workers: workers, Groups: groups})
+		if !e.hard {
+			t.Fatal("groups did not switch the engine to hard alignment")
+		}
+		v := make([]float64, e.nVars)
+		e.initVars(v)
+		e.refresh(v)
+		e.evalWL(true)
+		wantX, wantY := scatterInNetOrder(e)
+		for c := range wantX {
+			if e.gxFull[c] != wantX[c] || e.gyFull[c] != wantY[c] {
+				t.Fatalf("workers=%d cell %d: gather (%v,%v), net-order scatter (%v,%v)",
+					workers, c, e.gxFull[c], e.gyFull[c], wantX[c], wantY[c])
+			}
+		}
+	}
+}
+
 // testEngine builds a fresh engine at γ=4 ready for eval, mirroring the
 // state the solver sees mid-schedule.
 func testEngine(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Options) *engine {
@@ -58,8 +153,8 @@ func testEngine(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o O
 
 // evalAt runs one objective+gradient evaluation of a fresh engine with the
 // given worker count and returns the objective and the gradient vector.
-func evalAt(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, workers int, lambda float64, noReuse bool) (float64, []float64, []float64) {
-	e := testEngine(nl, pl, core, Options{Workers: workers})
+func evalAt(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Options, lambda float64, noReuse bool) (float64, []float64, []float64) {
+	e := testEngine(nl, pl, core, o)
 	e.lambda = lambda
 	v := make([]float64, e.nVars)
 	e.initVars(v)
@@ -73,15 +168,23 @@ func evalAt(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, workers
 // engine's determinism claim: across random netlists and worker counts, the
 // objective and every gradient component of the parallel evaluation equal
 // the serial evaluation bit-for-bit — with and without incremental reuse.
+// Seeds 1–5 are plain random netlists; seed 6 is gatherProblem, with pads,
+// degree-1 nets, repeated pins and hard-alignment groups.
 func TestParallelGradientMatchesSerial(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		nCells := 60 + int(seed)*37
-		nNets := 80 + int(seed)*53
-		nl, pl, core := randProblem(seed, nCells, nNets)
-		fSer, gSer, _ := evalAt(nl, pl, core, 1, 0.7, false)
+	for seed := int64(1); seed <= 6; seed++ {
+		var nl *netlist.Netlist
+		var pl *netlist.Placement
+		var core *geom.Core
+		var groups []AlignGroup
+		if seed <= 5 {
+			nl, pl, core = randProblem(seed, 60+int(seed)*37, 80+int(seed)*53)
+		} else {
+			nl, pl, core, groups = gatherProblem(seed)
+		}
+		fSer, gSer, _ := evalAt(nl, pl, core, Options{Workers: 1, Groups: groups}, 0.7, false)
 		for _, workers := range []int{2, 3, 4, 8} {
 			for _, noReuse := range []bool{false, true} {
-				f, g, _ := evalAt(nl, pl, core, workers, 0.7, noReuse)
+				f, g, _ := evalAt(nl, pl, core, Options{Workers: workers, Groups: groups}, 0.7, noReuse)
 				if f != fSer {
 					t.Fatalf("seed %d workers %d noReuse=%v: objective %v != serial %v",
 						seed, workers, noReuse, f, fSer)

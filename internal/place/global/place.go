@@ -263,12 +263,21 @@ type engine struct {
 	pinDY     []float64
 	netWeight []float64
 
+	// Cell → pin-slot CSR for the gradient gather: cellPinOff[c] is the
+	// first entry of cell c, cellPins the pin slots in ascending order (so
+	// ascending net order) and cellPinW the weight of each slot's net.
+	// Pins of nets with degree < 2, pad pins and fixed cells have no entry.
+	cellPinOff []int32
+	cellPins   []int32
+	cellPinW   []float64
+
 	// Wirelength kernel state, CSR-parallel to the pin layout: gathered pin
 	// coordinates, the per-pin exponential scratch of the last value
 	// evaluation, per-net axis states and values, and per-pin gradients.
-	// Ownership: inside evalWL's parallel pass a worker touches only the
-	// slots of the nets in its chunk; the serial reduction then reads
-	// everything in net order.
+	// Ownership: inside evalWL's per-net pass a worker touches only the
+	// slots of the nets in its chunk; the per-cell gather then reads the
+	// pin gradients of each cell's slots, and the objective sum reads the
+	// net values serially in net order.
 	curX, curY            []float64
 	expPX, expNX          []float64
 	expPY, expNY          []float64
@@ -465,7 +474,43 @@ func newEngine(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Op
 	e.vPrev = make([]float64, e.nVars)
 	e.changedVars = make([]int32, 0, e.nVars)
 	e.buildIncidence()
+	e.buildCellPins()
 	return e
+}
+
+// buildCellPins constructs the cell → pin-slot CSR the gradient gather
+// reads. Slots are visited in pin-layout order, so each cell's list is
+// ascending — the order in which a serial scatter over nets would have
+// added them.
+func (e *engine) buildCellPins() {
+	nc := e.nl.NumCells()
+	forEachSlot := func(visit func(c int32, k, ni int)) {
+		for ni := range e.netWeight {
+			off, end := int(e.netOff[ni]), int(e.netOff[ni+1])
+			if end-off < 2 {
+				continue
+			}
+			for k := off; k < end; k++ {
+				if c := e.pinCell[k]; c >= 0 && e.xVar[c] >= 0 {
+					visit(c, k, ni)
+				}
+			}
+		}
+	}
+	e.cellPinOff = make([]int32, nc+1)
+	forEachSlot(func(c int32, _, _ int) { e.cellPinOff[c+1]++ })
+	for c := 0; c < nc; c++ {
+		e.cellPinOff[c+1] += e.cellPinOff[c]
+	}
+	e.cellPins = make([]int32, e.cellPinOff[nc])
+	e.cellPinW = make([]float64, e.cellPinOff[nc])
+	fill := make([]int32, nc)
+	copy(fill, e.cellPinOff[:nc])
+	forEachSlot(func(c int32, k, ni int) {
+		e.cellPins[fill[c]] = int32(k)
+		e.cellPinW[fill[c]] = e.netWeight[ni]
+		fill[c]++
+	})
 }
 
 // buildIncidence constructs the two deduplicated CSR incidence maps the
@@ -787,9 +832,12 @@ func (e *engine) eval(v, grad []float64) float64 {
 // when a gradient is wanted — WAGradAxis/LSEGradAxis into their pin-gradient
 // slots. Clean nets are skipped entirely; a net whose value is clean but
 // whose gradient is stale gets a gradient-only pass from the stored
-// exponentials, with no math.Exp call. The weighted objective sum and the
-// scatter into per-cell gradients then run serially in net order, so the
-// result is bit-identical at every worker count and to a from-scratch
+// exponentials, with no math.Exp call. The weighted pin gradients then
+// reach the cells through a parallel gather: each cell walks its pin slots
+// in ascending order (the cellPins CSR), adding exactly what a serial
+// scatter over nets would have added to it, in the same order. The
+// weighted objective sum runs serially in net order. The result is
+// therefore bit-identical at every worker count and to a from-scratch
 // evaluation (the kernels are pure functions of stored inputs).
 func (e *engine) evalWL(withGrad bool) float64 {
 	nNets := len(e.netVal)
@@ -803,7 +851,7 @@ func (e *engine) evalWL(withGrad bool) float64 {
 	netVal, stX, stY := e.netVal, e.stX, e.stY
 	pinGX, pinGY := e.pinGX, e.pinGY
 	lse, gamma := e.lse, e.gamma
-	if err := e.pool.Run(e.ctx, nNets, 32, func(lo, hi int) {
+	if err := e.pool.Run(e.ctx, nNets, e.pool.Grain(nNets, 256), func(lo, hi int) {
 		var recomputed, reused int64
 		for ni := lo; ni < hi; ni++ {
 			off, end := int(netOff[ni]), int(netOff[ni+1])
@@ -867,28 +915,37 @@ func (e *engine) evalWL(withGrad bool) float64 {
 		return math.NaN()
 	}
 
-	// Serial reduction in net order.
-	netWeight, xVar := e.netWeight, e.xVar
-	gxFull, gyFull := e.gxFull, e.gyFull
+	if withGrad {
+		cellPinOff, cellPins, cellPinW := e.cellPinOff, e.cellPins, e.cellPinW
+		gxFull, gyFull := e.gxFull, e.gyFull
+		nc := len(gxFull)
+		if err := e.pool.Run(e.ctx, nc, e.pool.Grain(nc, 256), func(lo, hi int) {
+			for c := lo; c < hi; c++ {
+				from, to := cellPinOff[c], cellPinOff[c+1]
+				if from == to {
+					continue
+				}
+				gx, gy := gxFull[c], gyFull[c]
+				for s := from; s < to; s++ {
+					k, w := cellPins[s], cellPinW[s]
+					gx += w * pinGX[k]
+					gy += w * pinGY[k]
+				}
+				gxFull[c], gyFull[c] = gx, gy
+			}
+		}); err != nil {
+			return math.NaN()
+		}
+	}
+
+	// Objective: serial in net order.
+	netWeight := e.netWeight
 	total := 0.0
 	for ni := 0; ni < nNets; ni++ {
-		off, end := int(netOff[ni]), int(netOff[ni+1])
-		if end-off < 2 {
+		if netOff[ni+1]-netOff[ni] < 2 {
 			continue
 		}
 		total += netWeight[ni] * netVal[ni]
-		if !withGrad {
-			continue
-		}
-		w := netWeight[ni]
-		for k := off; k < end; k++ {
-			c := pinCell[k]
-			if c < 0 || xVar[c] < 0 {
-				continue
-			}
-			gxFull[c] += w * pinGX[k]
-			gyFull[c] += w * pinGY[k]
-		}
 	}
 	return total
 }
@@ -961,6 +1018,10 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 	// results are poisoned (NaN) rather than used.
 	e.ctx = ctx
 	e.pot.SetParallel(e.pool, ctx)
+	// One set of helpers serves every parallel pass of the solve —
+	// wirelength, density and the congestion snapshots — so the passes of
+	// an evaluation skip the thread wake-up a fresh helper would cost.
+	defer e.pool.Hold()()
 	v := make([]float64, e.nVars)
 	e.initVars(v)
 

@@ -272,11 +272,7 @@ func (s *Server) dispatch() {
 		if job == nil {
 			return // draining or shut down
 		}
-		want := 0
-		if job.Spec != nil {
-			want = job.Spec.Options.Workers
-		}
-		grant, err := s.budget.Acquire(s.rootCtx, want)
+		grant, err := s.budget.Acquire(s.rootCtx, wantWorkers(job))
 		if err != nil {
 			// Shutdown while waiting for workers: the job stays queued in
 			// the journal and the next instance requeues it.
@@ -289,12 +285,31 @@ func (s *Server) dispatch() {
 			s.budget.Release(grant)
 			continue
 		}
+		// A job that arrived while this one waited for workers may outrank
+		// it: the grant goes to whichever job heads the queue now, so
+		// priority order holds under a saturated budget too.
+		heap.Push(&s.queue, job)
+		job = heap.Pop(&s.queue).(*Job)
+		excess := 0
+		if w := wantWorkers(job); w > 0 && grant > w {
+			excess, grant = grant-w, w
+		}
 		s.running++
 		s.runners.Add(1)
 		s.syncGauges()
 		s.mu.Unlock()
+		s.budget.Release(excess)
 		go s.runJob(job, grant)
 	}
+}
+
+// wantWorkers is the worker count a job asks the budget for; 0 asks for
+// the whole budget.
+func wantWorkers(job *Job) int {
+	if job.Spec == nil {
+		return 0
+	}
+	return job.Spec.Options.Workers
 }
 
 // popQueued blocks until a queued job is available (nil when draining or
