@@ -287,6 +287,58 @@ func TestEvalCancellationPoisons(t *testing.T) {
 	}
 }
 
+// TestRefreshCompletesUnderCancelledContext evaluates a point that moves
+// every variable under an expired run context (the evaluation is poisoned),
+// then the same point under a live one: the second result must equal a
+// fresh engine's at that point. The blanket coordinate refresh must
+// therefore finish even though its parallel pass shares the pool with the
+// cancelled kernels — otherwise the coordinates would lag vPrev and the
+// diff would never repair them. The cold case makes the cancelled
+// evaluation the engine's first; the warm case evaluates the start point
+// first, so the move takes the blanket branch of the diff.
+func TestRefreshCompletesUnderCancelledContext(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for _, cold := range []bool{true, false} {
+			nl, pl, core := randProblem(13, 160, 210)
+			e := testEngine(nl, pl, core, Options{Workers: workers})
+			e.lambda = 0.5
+			v := make([]float64, e.nVars)
+			e.initVars(v)
+			g := make([]float64, e.nVars)
+			if !cold {
+				e.eval(v, g)
+			}
+			for i := range v { // move every variable off the placement
+				v[i] += 0.37 + float64(i%5)*0.11
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			e.ctx = ctx
+			e.pot.SetParallel(e.pool, ctx)
+			if f := e.eval(v, g); f == f { // NaN != NaN
+				t.Fatalf("workers=%d cold=%v: cancelled evaluation returned finite %v", workers, cold, f)
+			}
+
+			e.ctx = context.Background()
+			e.pot.SetParallel(e.pool, e.ctx)
+			f := e.eval(v, g)
+			ref := testEngine(nl, pl, core, Options{Workers: workers})
+			ref.lambda = 0.5
+			gRef := make([]float64, e.nVars)
+			fRef := ref.eval(v, gRef)
+			if f != fRef {
+				t.Fatalf("workers=%d cold=%v: objective after cancellation %v != fresh engine %v", workers, cold, f, fRef)
+			}
+			for i := range g {
+				if g[i] != gRef[i] {
+					t.Fatalf("workers=%d cold=%v: grad[%d] %v != fresh engine %v", workers, cold, i, g[i], gRef[i])
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkEvalWorkers measures one full objective+gradient evaluation at
 // several worker counts (the speedup here is what `make bench` sweeps at
 // the whole-flow level).

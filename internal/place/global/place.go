@@ -692,18 +692,15 @@ func (e *engine) refresh(v []float64) {
 		e.havePrev = true
 		e.wlAllDirty = true
 		e.densClean, e.densGradClean = false, false
-		for c := range e.nl.Cells {
-			if e.xVar[c] >= 0 {
-				e.updateCell(c, v)
-			}
-		}
+		e.updateAllCells(v)
 	} else {
-		// Two-phase diff: find the moved variables first, then mark their
-		// nets. Line-search probes move every variable (the CG direction is
-		// dense), and for those the per-variable net walks cost more than
-		// they save — when most variables moved, blanket-dirtying is both
-		// cheaper and provably equivalent, since recomputing a clean net
-		// reproduces its cached bits exactly.
+		// Two-phase diff: find the moved variables first, then update their
+		// cells and mark their nets. Line-search probes move every variable
+		// (the CG direction is dense), and for those the per-variable walks
+		// cost more than they save — when most variables moved, updating
+		// every cell and blanket-dirtying every net is both cheaper and
+		// provably equivalent, since a cell or net recomputed from unchanged
+		// inputs reproduces its stored bits exactly.
 		changed := e.changedVars[:0]
 		for i, vi := range v {
 			//placelint:ignore floateq bitwise change detection: an unchanged bit pattern provably leaves every downstream result identical, and NaN≠NaN conservatively re-dirties
@@ -712,16 +709,18 @@ func (e *engine) refresh(v []float64) {
 			}
 			e.vPrev[i] = vi
 			changed = append(changed, int32(i))
-			for _, c := range e.varCells[e.varCellOff[i]:e.varCellOff[i+1]] {
-				e.updateCell(int(c), v)
-			}
 		}
 		e.changedVars = changed
-		if len(changed) > 0 {
-			e.densClean, e.densGradClean = false, false
-			if 4*len(changed) > e.nVars {
-				e.wlAllDirty = true
-			} else if !e.wlAllDirty {
+		if 4*len(changed) > e.nVars {
+			e.wlAllDirty = true
+			e.updateAllCells(v)
+		} else {
+			for _, i := range changed {
+				for _, c := range e.varCells[e.varCellOff[i]:e.varCellOff[i+1]] {
+					e.updateCell(int(c), v)
+				}
+			}
+			if !e.wlAllDirty {
 				for _, i := range changed {
 					for _, ni := range e.varNets[e.varNetOff[i]:e.varNetOff[i+1]] {
 						e.netValClean[ni] = false
@@ -729,6 +728,9 @@ func (e *engine) refresh(v []float64) {
 					}
 				}
 			}
+		}
+		if len(changed) > 0 {
+			e.densClean, e.densGradClean = false, false
 		}
 	}
 	if e.wlAllDirty {
@@ -738,6 +740,24 @@ func (e *engine) refresh(v []float64) {
 		}
 		e.wlAllDirty = false
 	}
+}
+
+// updateAllCells recomputes every movable cell's coordinates from v in one
+// parallel pass; each cell's slots depend only on v, so the result is the
+// serial loop's at any worker count. The pass ignores the run context on
+// purpose: refresh must leave the coordinates matching vPrev even after a
+// deadline (run() refreshes once more after a cancelled solve to score the
+// committed iterate), and a pass stopped between chunks would not.
+func (e *engine) updateAllCells(v []float64) {
+	nc := len(e.xFull)
+	// A background context cannot expire, so Run always completes.
+	_ = e.pool.Run(context.Background(), nc, e.pool.Grain(nc, 256), func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			if e.xVar[c] >= 0 {
+				e.updateCell(c, v)
+			}
+		}
+	})
 }
 
 // updateCell recomputes one cell's corner and center coordinates from v.

@@ -79,6 +79,13 @@ func GlobalRoute(nl *netlist.Netlist, pl *netlist.Placement, region geom.Rect, o
 // is polled between routing batches and rip-up passes; on expiry the result
 // reflects the segments routed so far and has Partial set.
 func GlobalRouteCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement, region geom.Rect, opt GRouteOptions) *GRouteResult {
+	return globalRoute(ctx, nl, pl, region, opt, (*grouter).route)
+}
+
+// globalRoute is GlobalRouteCtx with the per-segment router as a parameter,
+// so tests can run the whole flow on a reference router and compare results.
+func globalRoute(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement, region geom.Rect, opt GRouteOptions,
+	route func(r *grouter, a, b [2]int) []grEdgeRef) *GRouteResult {
 	if opt.NX <= 0 {
 		opt.NX = 48
 	}
@@ -151,7 +158,7 @@ func GlobalRouteCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placem
 			res.Partial = true
 			break
 		}
-		r.paths[si] = r.route(segs[si].a, segs[si].b)
+		r.paths[si] = route(r, segs[si].a, segs[si].b)
 		r.apply(r.paths[si], 1)
 	}
 
@@ -167,7 +174,7 @@ func GlobalRouteCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placem
 				continue
 			}
 			r.apply(r.paths[si], -1)
-			r.paths[si] = r.route(segs[si].a, segs[si].b)
+			r.paths[si] = route(r, segs[si].a, segs[si].b)
 			r.apply(r.paths[si], 1)
 			rerouted++
 		}
@@ -240,18 +247,15 @@ func edgeCost(use, cap float64) float64 {
 
 // route finds the cheapest monotone L/Z path between two bins: it tries
 // both L shapes and every Z with one intermediate bend along either axis.
+// Candidates are only scored — zPath with a nil path walks their edges and
+// sums the costs without building anything — and the first strictly
+// cheapest one is then built once, into a slice of exactly its length.
 func (r *grouter) route(a, b [2]int) []grEdgeRef {
 	if a[0] == b[0] && a[1] == b[1] {
 		return nil
 	}
 	best := math.Inf(1)
-	var bestPath []grEdgeRef
-	try := func(path []grEdgeRef, cost float64) {
-		if cost < best {
-			best = cost
-			bestPath = path
-		}
-	}
+	bestHV, bestM, bestN := false, -1, 0
 	// The bend position may leave the bounding box by up to detourWindow
 	// bins — essential for congestion relief when both pins share a row or
 	// column (the straight path would otherwise be the only candidate).
@@ -260,97 +264,93 @@ func (r *grouter) route(a, b [2]int) []grEdgeRef {
 	lo := maxInt(0, minInt(a[0], b[0])-detourWindow)
 	hi := minInt(r.grid.NX-1, maxInt(a[0], b[0])+detourWindow)
 	for m := lo; m <= hi; m++ {
-		path, cost := r.zPathHV(a, b, m)
-		try(path, cost)
+		if cost, n := r.zPath(a, b, true, m, nil); cost < best {
+			best, bestHV, bestM, bestN = cost, true, m, n
+		}
 	}
 	// Z-routes with the horizontal run at row m.
 	lo = maxInt(0, minInt(a[1], b[1])-detourWindow)
 	hi = minInt(r.grid.NY-1, maxInt(a[1], b[1])+detourWindow)
 	for m := lo; m <= hi; m++ {
-		path, cost := r.zPathVH(a, b, m)
-		try(path, cost)
+		if cost, n := r.zPath(a, b, false, m, nil); cost < best {
+			best, bestHV, bestM, bestN = cost, false, m, n
+		}
 	}
-	return bestPath
+	if bestM < 0 {
+		return nil // no finite-cost candidate (degenerate capacities)
+	}
+	path := make([]grEdgeRef, bestN)
+	r.zPath(a, b, bestHV, bestM, path)
+	return path
 }
 
-// zPathHV: horizontal from a to column m, vertical to b's row, horizontal to b.
-func (r *grouter) zPathHV(a, b [2]int, m int) ([]grEdgeRef, float64) {
-	var path []grEdgeRef
-	cost := 0.0
-	addH := func(x0, x1, y int) {
-		step := 1
-		if x1 < x0 {
-			step = -1
-		}
-		for x := x0; x != x1; x += step {
-			i := x
-			if step < 0 {
-				i = x - 1
-			}
-			idx := r.hIdx(i, y)
-			path = append(path, grEdgeRef{true, idx})
-			cost += edgeCost(r.hUse[idx], r.hCap)
-		}
+// zPath walks the candidate with its bend at m and returns its cost, summed
+// edge by edge in walking order, and its edge count. With hv it runs
+// horizontally from a to column m, vertically to b's row, then horizontally
+// to b; otherwise vertically from a to row m, horizontally to b's column,
+// then vertically to b. A non-nil path receives the edges in the same order
+// and must have exactly the candidate's edge count.
+//
+//placelint:hotpath
+func (r *grouter) zPath(a, b [2]int, hv bool, m int, path []grEdgeRef) (float64, int) {
+	cost, n := 0.0, 0
+	if hv {
+		cost, n = r.hRun(a[0], m, a[1], cost, path, n)
+		cost, n = r.vRun(a[1], b[1], m, cost, path, n)
+		return r.hRun(m, b[0], b[1], cost, path, n)
 	}
-	addV := func(y0, y1, x int) {
-		step := 1
-		if y1 < y0 {
-			step = -1
-		}
-		for y := y0; y != y1; y += step {
-			j := y
-			if step < 0 {
-				j = y - 1
-			}
-			idx := r.vIdx(x, j)
-			path = append(path, grEdgeRef{false, idx})
-			cost += edgeCost(r.vUse[idx], r.vCap)
-		}
-	}
-	addH(a[0], m, a[1])
-	addV(a[1], b[1], m)
-	addH(m, b[0], b[1])
-	return path, cost
+	cost, n = r.vRun(a[1], m, a[0], cost, path, n)
+	cost, n = r.hRun(a[0], b[0], m, cost, path, n)
+	return r.vRun(m, b[1], b[0], cost, path, n)
 }
 
-// zPathVH: vertical from a to row m, horizontal to b's column, vertical to b.
-func (r *grouter) zPathVH(a, b [2]int, m int) ([]grEdgeRef, float64) {
-	var path []grEdgeRef
-	cost := 0.0
-	addH := func(x0, x1, y int) {
-		step := 1
-		if x1 < x0 {
-			step = -1
-		}
-		for x := x0; x != x1; x += step {
-			i := x
-			if step < 0 {
-				i = x - 1
-			}
-			idx := r.hIdx(i, y)
-			path = append(path, grEdgeRef{true, idx})
-			cost += edgeCost(r.hUse[idx], r.hCap)
-		}
+// hRun walks the horizontal run from column x0 to column x1 along row y,
+// adding each edge's cost to cost and counting it in n; when path is
+// non-nil it also stores each edge at path[n] before counting it. It
+// returns the new cost and count.
+//
+//placelint:hotpath
+func (r *grouter) hRun(x0, x1, y int, cost float64, path []grEdgeRef, n int) (float64, int) {
+	step := 1
+	if x1 < x0 {
+		step = -1
 	}
-	addV := func(y0, y1, x int) {
-		step := 1
-		if y1 < y0 {
-			step = -1
+	for x := x0; x != x1; x += step {
+		i := x
+		if step < 0 {
+			i = x - 1
 		}
-		for y := y0; y != y1; y += step {
-			j := y
-			if step < 0 {
-				j = y - 1
-			}
-			idx := r.vIdx(x, j)
-			path = append(path, grEdgeRef{false, idx})
-			cost += edgeCost(r.vUse[idx], r.vCap)
+		idx := r.hIdx(i, y)
+		cost += edgeCost(r.hUse[idx], r.hCap)
+		if path != nil {
+			path[n] = grEdgeRef{true, idx}
 		}
+		n++
 	}
-	addV(a[1], m, a[0])
-	addH(a[0], b[0], m)
-	addV(m, b[1], b[0])
-	return path, cost
+	return cost, n
+}
+
+// vRun is hRun for the vertical run from row y0 to row y1 along column x.
+//
+//placelint:hotpath
+func (r *grouter) vRun(y0, y1, x int, cost float64, path []grEdgeRef, n int) (float64, int) {
+	step := 1
+	if y1 < y0 {
+		step = -1
+	}
+	for y := y0; y != y1; y += step {
+		j := y
+		if step < 0 {
+			j = y - 1
+		}
+		idx := r.vIdx(x, j)
+		cost += edgeCost(r.vUse[idx], r.vCap)
+		if path != nil {
+			path[n] = grEdgeRef{false, idx}
+		}
+		n++
+	}
+	return cost, n
 }
 
 func (r *grouter) apply(path []grEdgeRef, delta float64) {

@@ -18,10 +18,16 @@ import "math"
 //
 // Every kernel is a pure function of its arguments with a fixed operation
 // order, so results are bit-identical to the corresponding Model.EvalAxis
-// and independent of worker count. Two-pin nets (the majority in real
-// netlists) take a single-exponential fast path that produces the same bits
-// as the general loop because both pins share the exponent arguments 0 and
-// (min−max)/γ, and math.Exp(0) is exactly 1.
+// and independent of worker count (NaN payloads aside: a NaN input yields a
+// NaN wherever the model's does). Two facts about the extreme pins save
+// exponentials without changing a bit. A max pin's positive term and a min
+// pin's negative term have exponent argument ±0, and math.Exp(±0) is exactly
+// 1; an infinite extreme makes that argument NaN instead, so the kernels use
+// 1+(max−max) and 1+(min−min), which are 1 or NaN accordingly. And a min
+// pin's positive term and a max pin's negative term share the argument
+// (min−max)/γ, so one math.Exp serves both. Two-pin nets with finite pins
+// (the majority in real netlists) therefore need a single exponential; the
+// wider loop computes the shared one once per net.
 
 // AxisState is the reusable per-net summary of one axis evaluation: the pin
 // extrema, the positive/negative exponential sums, and (WA only) the
@@ -57,11 +63,10 @@ func WAValueAxis(xs, ep, en []float64, gamma float64) (AxisState, float64) {
 		}
 	}
 	var sp, sn, xp, xn float64
-	if n == 2 {
-		// Both exponent arguments are 0 and (min−max)/γ; one Exp suffices.
-		// math.Exp(0) == 1 exactly and (min−max) is the identical subtraction
-		// the general loop performs, so the bits match it — including equal
-		// pins, where t = exp(0) = 1 covers all four slots.
+	if n == 2 && math.Abs(xs[0]-xs[1]) <= math.MaxFloat64 {
+		// Both pins finite: the exponent arguments are ±0 and (min−max)/γ,
+		// so one Exp covers all four slots (equal pins included, where it is
+		// exp(0) = 1).
 		t := math.Exp((minV - maxV) / gamma)
 		var e0p, e0n, e1p, e1n float64
 		if xs[0] > xs[1] {
@@ -76,18 +81,19 @@ func WAValueAxis(xs, ep, en []float64, gamma float64) (AxisState, float64) {
 		xp = xs[0]*e0p + xs[1]*e1p
 		xn = xs[0]*e0n + xs[1]*e1n
 	} else {
+		pMax, nMin, t := extremeExps(maxV, minV, gamma)
 		for i, v := range xs {
-			// The extreme pins have exponent argument exactly ±0, and
-			// math.Exp(±0) is exactly 1 — a compare replaces those calls
-			// without changing a bit.
-			e1, e2 := 1.0, 1.0
-			//placelint:ignore floateq exact identity with the scan's max: v==maxV ⇒ (v−maxV)/γ is ±0 ⇒ Exp is exactly 1
-			if v != maxV {
+			//placelint:ignore floateq exact identity with the scan's extrema: an equal pin's exponent arguments are those extremeExps evaluated
+			atMax, atMin := v == maxV, v == minV
+			e1, e2 := pMax, nMin
+			switch {
+			case !atMax && !atMin:
 				e1 = math.Exp((v - maxV) / gamma)
-			}
-			//placelint:ignore floateq exact identity with the scan's min: v==minV ⇒ (minV−v)/γ is ±0 ⇒ Exp is exactly 1
-			if v != minV {
 				e2 = math.Exp((minV - v) / gamma)
+			case !atMax:
+				e1 = t
+			case !atMin:
+				e2 = t
 			}
 			ep[i] = e1
 			en[i] = e2
@@ -99,6 +105,24 @@ func WAValueAxis(xs, ep, en []float64, gamma float64) (AxisState, float64) {
 	}
 	st := AxisState{Max: maxV, Min: minV, SumP: sp, SumN: sn, WSumP: xp, WSumN: xn}
 	return st, xp/sp - xn/sn
+}
+
+// extremeExps returns the exponentials the extreme pins share: pMax, a max
+// pin's positive term e^{(max−max)/γ}; nMin, a min pin's negative term
+// e^{(min−min)/γ}; and t, the shared e^{(min−max)/γ} of a min pin's positive
+// and a max pin's negative term. pMax and nMin are 1 for a finite extreme
+// and NaN for an infinite one, as math.Exp of the model's ±0 or NaN argument
+// would give; t is computed only when max ≠ min, since otherwise every pin
+// is at both extremes and never reads it.
+//
+//placelint:hotpath
+func extremeExps(maxV, minV, gamma float64) (pMax, nMin, t float64) {
+	pMax, nMin = 1+(maxV-maxV), 1+(minV-minV)
+	//placelint:ignore floateq max == min means every pin sits at both extremes, so no pin reads t
+	if maxV != minV {
+		t = math.Exp((minV - maxV) / gamma)
+	}
+	return pMax, nMin, t
 }
 
 // WAGradAxis writes the weighted-average axis gradient for a net previously
@@ -138,7 +162,7 @@ func LSEValueAxis(xs, ep, en []float64, gamma float64) (AxisState, float64) {
 		}
 	}
 	var sp, sn float64
-	if n == 2 {
+	if n == 2 && math.Abs(xs[0]-xs[1]) <= math.MaxFloat64 {
 		// Same single-exponential shortcut as WAValueAxis.
 		t := math.Exp((minV - maxV) / gamma)
 		var e0p, e0n, e1p, e1n float64
@@ -152,16 +176,19 @@ func LSEValueAxis(xs, ep, en []float64, gamma float64) (AxisState, float64) {
 		sp = e0p + e1p
 		sn = e0n + e1n
 	} else {
+		pMax, nMin, t := extremeExps(maxV, minV, gamma)
 		for i, v := range xs {
-			// Same extreme-pin shortcut as WAValueAxis: Exp(±0) is exactly 1.
-			e1, e2 := 1.0, 1.0
-			//placelint:ignore floateq exact identity with the scan's max: v==maxV ⇒ (v−maxV)/γ is ±0 ⇒ Exp is exactly 1
-			if v != maxV {
+			//placelint:ignore floateq exact identity with the scan's extrema: an equal pin's exponent arguments are those extremeExps evaluated
+			atMax, atMin := v == maxV, v == minV
+			e1, e2 := pMax, nMin
+			switch {
+			case !atMax && !atMin:
 				e1 = math.Exp((v - maxV) / gamma)
-			}
-			//placelint:ignore floateq exact identity with the scan's min: v==minV ⇒ (minV−v)/γ is ±0 ⇒ Exp is exactly 1
-			if v != minV {
 				e2 = math.Exp((minV - v) / gamma)
+			case !atMax:
+				e1 = t
+			case !atMin:
+				e2 = t
 			}
 			ep[i] = e1
 			en[i] = e2

@@ -94,6 +94,79 @@ func TestSoAKernelsTwoPinTies(t *testing.T) {
 	}
 }
 
+// sameFloat is the kernels' equality contract: identical bits, or NaN on
+// both sides (IEEE 754 leaves NaN payloads to the hardware).
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestSoAKernelsExtremePins pins the extreme-pin shortcuts to the models on
+// the inputs where they could go wrong: pins tied at the min and at the
+// max, all pins equal, ±0 at an extreme, infinite pins, and NaN at a
+// position the extrema scan skips. Two-pin nets take the fast path when
+// finite and must agree as well.
+func TestSoAKernelsExtremePins(t *testing.T) {
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	cases := [][]float64{
+		{3, 1, 1, 7, 7, 4},   // ties at both extremes
+		{2, 9, 2, 2},         // ties at the min only
+		{5, 5, 5},            // all equal
+		{0, negZero, 3, 1},   // ±0 tied at the min
+		{negZero, 0, -3, -2}, // ±0 tied at the max
+		{negZero, 4, 0, 2},   // ±0 at the min, -0 first
+		{0, negZero},         // two-pin ±0
+		{negZero, 6},         // two-pin -0 at the min
+		{1, inf, 3},          // +Inf max
+		{1, -inf, 3},         // -Inf min
+		{inf, -inf, 3},       // both extremes infinite
+		{inf, inf, 3},        // +Inf tied at the max
+		{-inf, -inf, -inf},   // all -Inf
+		{inf, 2},             // two-pin +Inf
+		{2, -inf},            // two-pin -Inf
+		{1, 2, nan, 4},       // NaN inside
+		{1, 2, 4, nan},       // NaN last
+		{1, nan},             // two-pin NaN second
+		{nan, 1, 2},          // NaN first
+	}
+	for _, gamma := range []float64{0.5, 8} {
+		wa, lse := NewWA(gamma), NewLSE(gamma)
+		for _, xs := range cases {
+			n := len(xs)
+			ep, en := make([]float64, n), make([]float64, n)
+			kGrad, mGrad := make([]float64, n), make([]float64, n)
+			check := func(model string, kv, mv float64) {
+				t.Helper()
+				if !sameFloat(kv, mv) {
+					t.Fatalf("%s %v γ=%g: kernel value %v != model %v", model, xs, gamma, kv, mv)
+				}
+				for i := range kGrad {
+					if !sameFloat(kGrad[i], mGrad[i]) {
+						t.Fatalf("%s %v γ=%g: grad[%d] %v != model %v", model, xs, gamma, i, kGrad[i], mGrad[i])
+					}
+				}
+				hasNaN := false
+				for _, x := range xs {
+					hasNaN = hasNaN || math.IsNaN(x)
+				}
+				if hasNaN && !math.IsNaN(kv) {
+					t.Fatalf("%s %v: NaN pin gave value %v, want NaN", model, xs, kv)
+				}
+			}
+
+			st, kv := WAValueAxis(xs, ep, en, gamma)
+			WAGradAxis(xs, ep, en, st, gamma, kGrad)
+			check("WA", kv, wa.EvalAxis(xs, mGrad))
+
+			for i := range mGrad {
+				mGrad[i] = 0
+			}
+			st, kv = LSEValueAxis(xs, ep, en, gamma)
+			LSEGradAxis(ep, en, st, kGrad)
+			check("LSE", kv, lse.EvalAxis(xs, mGrad))
+		}
+	}
+}
+
 // TestSoAKernelsEmptyNet checks the degenerate degree-0 contract.
 func TestSoAKernelsEmptyNet(t *testing.T) {
 	if st, v := WAValueAxis(nil, nil, nil, 4); v != 0 || st != (AxisState{}) {
