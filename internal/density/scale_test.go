@@ -36,9 +36,9 @@ func centersOf(nl *netlist.Netlist, pl *netlist.Placement) (cx, cy []float64) {
 	return cx, cy
 }
 
-// TestUnitScalesAreNoOp pins the identity contract of the congestion hooks:
-// an all-1.0 area scale and target scale — and a nil reset — produce the
-// bit-identical value and gradient of a scale-free potential.
+// TestUnitScalesAreNoOp pins the identity contract of the congestion hook:
+// an all-1.0 area scale — and a nil reset — produce the bit-identical value
+// and gradient of a scale-free potential.
 func TestUnitScalesAreNoOp(t *testing.T) {
 	nl, pl, grid := pinchedProblem(21, 150)
 	cx, cy := centersOf(nl, pl)
@@ -57,12 +57,7 @@ func TestUnitScalesAreNoOp(t *testing.T) {
 	for i := range ones {
 		ones[i] = 1
 	}
-	tones := make([]float64, grid.Bins())
-	for i := range tones {
-		tones[i] = 1
-	}
 	scaled.SetAreaScale(ones)
-	scaled.SetTargetScale(tones)
 	fS := scaled.Value(cx, cy)
 	if fS != fP {
 		t.Fatalf("unit scales: Value %v != plain %v", fS, fP)
@@ -79,7 +74,6 @@ func TestUnitScalesAreNoOp(t *testing.T) {
 
 	// nil restores the identity.
 	scaled.SetAreaScale(nil)
-	scaled.SetTargetScale(nil)
 	if f := scaled.Value(cx, cy); f != fP {
 		t.Fatalf("nil reset: Value %v != plain %v", f, fP)
 	}
@@ -102,28 +96,5 @@ func TestAreaScaleChangesObjective(t *testing.T) {
 	scaled.SetAreaScale(twos)
 	if fS := scaled.Value(cx, cy); fS <= fP {
 		t.Fatalf("doubled area: Value %v, want > plain %v", fS, fP)
-	}
-}
-
-// TestTargetScaleLowersTargetArea pins the TargetArea accessor contract under
-// SetTargetScale modulation.
-func TestTargetScaleLowersTargetArea(t *testing.T) {
-	nl, pl, grid := pinchedProblem(23, 40)
-	p := NewPotential(nl, pl, grid, 0.9)
-	base := p.TargetArea(0)
-	if base <= 0 {
-		t.Fatalf("bin 0 target area %v, want > 0", base)
-	}
-	ts := make([]float64, grid.Bins())
-	for i := range ts {
-		ts[i] = 1
-	}
-	ts[0] = 0.5
-	p.SetTargetScale(ts)
-	if got := p.TargetArea(0); got != base*0.5 {
-		t.Fatalf("scaled TargetArea(0) = %v, want %v", got, base*0.5)
-	}
-	if got, want := p.TargetArea(1), NewPotential(nl, pl, grid, 0.9).TargetArea(1); got != want {
-		t.Fatalf("bin 1 (scale 1.0) target area %v, want unmodulated %v", got, want)
 	}
 }

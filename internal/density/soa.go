@@ -202,18 +202,10 @@ func (p *Potential) Value(cx, cy []float64) float64 {
 
 	// Pass 3: objective and residuals, serial in bin order.
 	n := 0.0
-	if p.tscale != nil {
-		for i := range p.dens {
-			d := p.dens[i] - p.target[i]*p.tscale[i]
-			p.diff[i] = d
-			n += d * d
-		}
-	} else {
-		for i := range p.dens {
-			d := p.dens[i] - p.target[i]
-			p.diff[i] = d
-			n += d * d
-		}
+	for i := range p.dens {
+		d := p.dens[i] - p.target[i]
+		p.diff[i] = d
+		n += d * d
 	}
 	p.valReady = true
 	return n

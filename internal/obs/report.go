@@ -31,10 +31,10 @@ type RunReport struct {
 	// Incremental-evaluation effectiveness of the global-place engine.
 	// DirtyNetRatio is net recomputations over total per-net decisions
 	// (recomputations + reuses): 1.0 means every evaluation recomputed every
-	// net (no reuse), small values mean the epoch scheme proved most nets
-	// clean. FullRecomputes and DeltaRecomputes count whole objective
-	// evaluations by kind: ones that recomputed every incident net versus
-	// ones that reused at least one cached per-net result.
+	// net (no reuse), small values mean most evaluations found their point
+	// unchanged. FullRecomputes and DeltaRecomputes count whole objective
+	// evaluations by kind: ones that recomputed every net versus ones that
+	// reused the cached per-net results.
 	DirtyNetRatio   float64 `json:"dirty_net_ratio,omitempty"`
 	FullRecomputes  int64   `json:"full_recomputes,omitempty"`
 	DeltaRecomputes int64   `json:"delta_recomputes,omitempty"`

@@ -21,11 +21,12 @@
 // the parallel phase produced — or as a gather, where each output slot
 // visits its inputs in the serial loop's order.
 //
-// The calling goroutine is always worker 0; the other Workers()−1 are helper
-// goroutines. Hold keeps a set of helpers alive across calls for a scope
-// (the global engine holds one for a whole solve): between jobs they spin
-// briefly, yielding the processor periodically, then park on a channel, so
-// back-to-back Run calls skip the thread wake-up a fresh goroutine costs.
+// The calling goroutine always works on a call's chunks; the other
+// Workers()−1 are helper goroutines. Hold keeps a set of helpers alive
+// across calls for a scope (the global engine holds one for a whole
+// solve): between jobs they spin briefly, yielding the processor
+// periodically, then park on a channel, so back-to-back Run calls skip the
+// thread wake-up a fresh goroutine costs.
 // Outside a held scope each Run starts helpers for that one call and stops
 // them before returning; the dispatch protocol is the same.
 //
@@ -130,15 +131,6 @@ const minGrain = 16
 // context expired before all chunks were dispatched — the caller must then
 // treat the output as incomplete. A nil ctx is treated as background.
 func (p *Pool) Run(ctx context.Context, n, grain int, fn func(lo, hi int)) error {
-	return p.RunWorker(ctx, n, grain, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// RunWorker is Run with the executing worker's index (0 ≤ w < Workers())
-// passed to fn, so callers can hand each worker private scratch state —
-// per-worker wirelength models, gather buffers — without synchronization.
-// The worker index must only select scratch, never influence the values
-// computed, or determinism across worker counts is lost.
-func (p *Pool) RunWorker(ctx context.Context, n, grain int, fn func(worker, lo, hi int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -150,7 +142,7 @@ func (p *Pool) RunWorker(ctx context.Context, n, grain int, fn func(worker, lo, 
 	}
 	w := p.Workers()
 	if w == 1 || n <= grain {
-		fn(0, 0, n)
+		fn(0, n)
 		return nil
 	}
 	d := &dispatch{ctx: ctx, n: n, grain: grain, fn: fn}
@@ -170,13 +162,13 @@ func (p *Pool) RunWorker(ctx context.Context, n, grain int, fn func(worker, lo, 
 	return nil
 }
 
-// dispatch is the shared state of one RunWorker invocation: the chunk
+// dispatch is the shared state of one Run invocation: the chunk
 // cursor the workers race on, the cooperative stop flag, the kernel closure
 // they all execute, and the count of helpers inside it.
 type dispatch struct {
 	ctx      context.Context
 	n, grain int
-	fn       func(worker, lo, hi int)
+	fn       func(lo, hi int)
 	cursor   atomic.Int64
 	stopped  atomic.Bool
 	inflight atomic.Int32
@@ -193,7 +185,7 @@ type dispatch struct {
 // kernel at all.
 //
 //placelint:hotpath
-func (d *dispatch) runChunks(worker int) {
+func (d *dispatch) runChunks() {
 	for {
 		if d.stopped.Load() {
 			return
@@ -211,7 +203,7 @@ func (d *dispatch) runChunks(worker int) {
 			hi = d.n
 		}
 		//placelint:ignore hotalloc the kernel closure is the caller's to keep allocation-free; the §14 kernels it wraps carry their own hotpath contracts
-		d.fn(worker, lo, hi)
+		d.fn(lo, hi)
 	}
 }
 
@@ -236,8 +228,8 @@ const yieldEvery = 64
 // team is one set of helper goroutines and the protocol they serve. A Run
 // that owns the team publishes its dispatch by storing it and bumping seq;
 // helpers notice the bump (spinning, or woken from a park), join the
-// dispatch as workers 1..helpers, and return to waiting. stop sets quit and
-// bumps seq once more, and every helper exits.
+// dispatch, and return to waiting. stop sets quit and bumps seq once more,
+// and every helper exits.
 type team struct {
 	busy   atomic.Bool              // a Run owns the team
 	seq    atomic.Uint64            // bumped by every publish and by stop
@@ -252,16 +244,16 @@ type team struct {
 func startTeam(helpers int) *team {
 	t := &team{wake: make(chan struct{}, helpers)}
 	t.exited.Add(helpers)
-	for worker := 1; worker <= helpers; worker++ {
-		go t.helper(worker)
+	for i := 0; i < helpers; i++ {
+		go t.helper()
 	}
 	return t
 }
 
 // helper is one helper goroutine's body.
-func (t *team) helper(worker int) {
+func (t *team) helper() {
 	defer t.exited.Done()
-	t.serve(worker)
+	t.serve()
 }
 
 // serve is the helper loop: wait for a publish, join the published dispatch
@@ -270,7 +262,7 @@ func (t *team) helper(worker int) {
 // runs nothing (runChunks).
 //
 //placelint:hotpath
-func (t *team) serve(worker int) {
+func (t *team) serve() {
 	var seen uint64
 	for {
 		seen = t.await(seen)
@@ -279,7 +271,7 @@ func (t *team) serve(worker int) {
 		}
 		d := t.job.Load()
 		d.inflight.Add(1)
-		d.runChunks(worker)
+		d.runChunks()
 		d.inflight.Add(-1)
 	}
 }
@@ -343,13 +335,13 @@ func (t *team) wakeParked() {
 	}
 }
 
-// run publishes d, executes it as worker 0, and returns once every helper
-// that joined it has left.
+// run publishes d, works on its chunks on the calling goroutine, and
+// returns once every helper that joined it has left.
 func (t *team) run(d *dispatch) {
 	t.job.Store(d)
 	t.seq.Add(1)
 	t.wakeParked()
-	d.runChunks(0)
+	d.runChunks()
 	for i := 1; d.inflight.Load() != 0; i++ {
 		if i%yieldEvery == 0 {
 			runtime.Gosched()

@@ -1,10 +1,9 @@
 // Package congestion implements the routability feedback loop of global
 // placement: periodic RUDY snapshots of the evolving placement, a monotone
-// capped cell-inflation schedule for cells sitting in over-demand bins, and
-// optional per-bin density-target modulation. The controller only *decides*
-// (which cells inflate, by how much, when to stop); applying the decision is
-// the engine's job — it feeds Scale/TargetScale to density.Potential and
-// invalidates its own caches (DESIGN.md §15).
+// capped cell-inflation schedule for cells sitting in over-demand bins. The
+// controller only *decides* (which cells inflate, by how much, when to
+// stop); applying the decision is the engine's job — it feeds Scale to
+// density.Potential and invalidates its own caches (DESIGN.md §15).
 //
 // Everything here is deterministic: snapshot cadence depends only on the
 // outer-iteration index, the RUDY estimator is bit-identical at every worker
@@ -65,9 +64,6 @@ type Options struct {
 	// without RUDY-overflow improvement (default 2), so inflation that has
 	// stopped helping cannot balloon cell area without bound.
 	CoolDown int
-	// TargetScaleMin, when < 1, also lowers the density target of hot bins
-	// (multiplicatively, floored here). Default 1: target modulation off.
-	TargetScaleMin float64
 	// SnapshotOnEntry fires an extra snapshot at outer iteration 0; the
 	// multilevel driver sets it on the finest level so inflation responds
 	// to the warm-started placement inherited from the coarser level.
@@ -100,9 +96,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CoolDown <= 0 {
 		o.CoolDown = 2
-	}
-	if o.TargetScaleMin <= 0 || o.TargetScaleMin > 1 {
-		o.TargetScaleMin = 1
 	}
 	if o.Capacity <= 0 {
 		o.Capacity = 0.15
@@ -150,7 +143,6 @@ type Controller struct {
 	est  *route.Estimator
 
 	scale  []float64 // per-cell area multiplier, monotone in [1, MaxInflate]
-	tscale []float64 // per-bin target multiplier, only when TargetScaleMin < 1
 	sorted []float64 // scratch for the per-snapshot demand quantile
 
 	stats        Stats
@@ -181,12 +173,6 @@ func New(nl *netlist.Netlist, grid geom.Grid, opt Options) *Controller {
 	for i := range c.scale {
 		c.scale[i] = 1
 	}
-	if opt.TargetScaleMin < 1 {
-		c.tscale = make([]float64, grid.Bins())
-		for i := range c.tscale {
-			c.tscale[i] = 1
-		}
-	}
 	return c
 }
 
@@ -206,10 +192,10 @@ func (c *Controller) Due(outer int, densOv float64) bool {
 }
 
 // Snapshot takes a RUDY snapshot of pl and advances the inflation schedule.
-// It reports whether the inflation or target-scale state changed (the caller
-// must then re-feed Scale/TargetScale to its density model and invalidate
-// value/gradient caches). A context expiry mid-snapshot leaves the schedule
-// unchanged and returns false.
+// It reports whether the inflation state changed (the caller must then
+// re-feed Scale to its density model and invalidate value/gradient caches).
+// A context expiry mid-snapshot leaves the schedule unchanged and returns
+// false.
 func (c *Controller) Snapshot(ctx context.Context, pool *par.Pool, pl *netlist.Placement) bool {
 	cm := c.est.Snapshot(ctx, pool, pl)
 	if cm == nil {
@@ -280,28 +266,6 @@ func (c *Controller) Snapshot(ctx context.Context, pool *par.Pool, pl *netlist.P
 			changed = true
 		}
 	}
-	// Optional per-bin target modulation, ascending bin order.
-	if c.tscale != nil {
-		step := c.opt.InflateStep / 2
-		for b, d := range cm.Demand {
-			if d <= thr {
-				continue
-			}
-			sev := (d - thr) / thr
-			if sev > 1 {
-				sev = 1
-			}
-			nt := c.tscale[b] * (1 - step*sev)
-			if nt < c.opt.TargetScaleMin {
-				nt = c.opt.TargetScaleMin
-			}
-			if nt < c.tscale[b] {
-				c.tscale[b] = nt
-				changed = true
-			}
-		}
-	}
-
 	if changed {
 		c.stats.Applied++
 		c.stats.InflatedCells = 0
@@ -323,11 +287,6 @@ func (c *Controller) Snapshot(ctx context.Context, pool *par.Pool, pl *netlist.P
 // which is exactly what the density model wants, but callers must not mutate
 // it.
 func (c *Controller) Scale() []float64 { return c.scale }
-
-// TargetScale returns the per-bin density-target multipliers, or nil when
-// target modulation is off (TargetScaleMin == 1). Same ownership rules as
-// Scale.
-func (c *Controller) TargetScale() []float64 { return c.tscale }
 
 // Stats returns a copy of the controller's activity summary. The Overflow
 // trajectory is copied too, so the caller may retain the result.

@@ -179,32 +179,6 @@ func TestCoolDownFreezes(t *testing.T) {
 	}
 }
 
-// TestTargetScaleModulation checks the optional per-bin target lowering:
-// bounded below by TargetScaleMin, never above 1, and actually engaged on a
-// congested placement.
-func TestTargetScaleModulation(t *testing.T) {
-	nl, pl, grid := congProblem(6, 200, 400)
-	const floor = 0.8
-	c := New(nl, grid, Options{Enable: true, TargetScaleMin: floor, CoolDown: 100})
-	ts := c.TargetScale()
-	if ts == nil {
-		t.Fatal("TargetScaleMin < 1 left target modulation off")
-	}
-	c.Snapshot(context.Background(), par.New(2), pl)
-	lowered := 0
-	for b, v := range ts {
-		if v < floor || v > 1 {
-			t.Fatalf("bin %d target scale %v outside [%v, 1]", b, v, floor)
-		}
-		if v < 1 {
-			lowered++
-		}
-	}
-	if lowered == 0 {
-		t.Fatal("congested placement lowered no bin targets")
-	}
-}
-
 // TestSnapshotCancelledContext checks an expired context leaves the schedule
 // untouched.
 func TestSnapshotCancelledContext(t *testing.T) {

@@ -7,11 +7,12 @@ import (
 
 // TestDeltaMatchesFullRecomputation is the property test behind incremental
 // evaluation: over randomized move/probe sequences — partial-variable
-// perturbations, repeated probes at an unchanged point, value-only probes,
-// gradient evaluations and occasional γ changes — the incremental engine must
-// return the bit-identical objective and gradient a fresh engine computes
-// from scratch at the same point, at every worker count. Runs under -race via
-// `make race` to also exercise the dirty-flag publication across the pool.
+// perturbations (each a moved point, so every cache drops), repeated probes
+// at an unchanged point, value-only probes, gradient evaluations and
+// occasional γ changes — the incremental engine must return the
+// bit-identical objective and gradient a fresh engine computes from scratch
+// at the same point, at every worker count. Runs under -race via `make race`
+// to also exercise the pool passes that fill the cached state.
 func TestDeltaMatchesFullRecomputation(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		nl, pl, core := randProblem(21, 140, 190)
@@ -69,7 +70,7 @@ func TestDeltaMatchesFullRecomputation(t *testing.T) {
 				}
 			}
 		}
-		if e.netReuses.Load() == 0 {
+		if e.netReuses == 0 {
 			t.Fatalf("workers=%d: sequence exercised no incremental reuse", workers)
 		}
 		if e.deltaEvals == 0 {

@@ -211,7 +211,7 @@ func TestDeltaReuseIsExact(t *testing.T) {
 	e.initVars(v)
 	g1 := make([]float64, e.nVars)
 	f1 := e.eval(v, g1)
-	recomps := e.netRecomps.Load()
+	recomps := e.netRecomps
 	if recomps == 0 {
 		t.Fatal("cold evaluation recomputed no nets")
 	}
@@ -226,21 +226,21 @@ func TestDeltaReuseIsExact(t *testing.T) {
 			t.Fatalf("reused grad[%d] %v != original %v", i, g2[i], g1[i])
 		}
 	}
-	if e.netReuses.Load() == 0 {
+	if e.netReuses == 0 {
 		t.Fatal("repeated evaluation at the same point reused no nets")
 	}
-	if e.netRecomps.Load() != recomps {
+	if e.netRecomps != recomps {
 		t.Fatalf("repeated evaluation recomputed %d nets",
-			e.netRecomps.Load()-recomps)
+			e.netRecomps-recomps)
 	}
 
 	// γ change: every net must be re-evaluated.
 	e.setGamma(2)
 	g3 := make([]float64, e.nVars)
 	e.eval(v, g3)
-	if e.netRecomps.Load() != 2*recomps {
+	if e.netRecomps != 2*recomps {
 		t.Fatalf("γ change did not dirty every net: %d recomputes, want %d",
-			e.netRecomps.Load(), 2*recomps)
+			e.netRecomps, 2*recomps)
 	}
 }
 
@@ -287,29 +287,36 @@ func TestEvalCancellationPoisons(t *testing.T) {
 	}
 }
 
-// TestRefreshCompletesUnderCancelledContext evaluates a point that moves
-// every variable under an expired run context (the evaluation is poisoned),
-// then the same point under a live one: the second result must equal a
-// fresh engine's at that point. The blanket coordinate refresh must
-// therefore finish even though its parallel pass shares the pool with the
-// cancelled kernels — otherwise the coordinates would lag vPrev and the
-// diff would never repair them. The cold case makes the cancelled
-// evaluation the engine's first; the warm case evaluates the start point
-// first, so the move takes the blanket branch of the diff.
+// TestRefreshCompletesUnderCancelledContext runs an evaluation under an
+// expired run context (it is poisoned), then the same gradient evaluation
+// under a live one: the second result must equal a fresh engine's at that
+// point. In the cold and moved cases the cancelled evaluation is at a point
+// that moves every variable — the engine's first evaluation, or one after
+// the start point was evaluated — so the coordinate refresh must finish
+// even though its parallel pass shares the pool with the cancelled kernels;
+// otherwise the coordinates would lag vPrev and nothing would repair them.
+// In the gradient-only case a live value-only evaluation at the point comes
+// first, so the cancelled evaluation runs only the gradient passes, which
+// must leave both gradient caches marked stale.
 func TestRefreshCompletesUnderCancelledContext(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		for _, cold := range []bool{true, false} {
+		for _, kind := range []string{"cold", "moved", "gradient-only"} {
 			nl, pl, core := randProblem(13, 160, 210)
 			e := testEngine(nl, pl, core, Options{Workers: workers})
 			e.lambda = 0.5
 			v := make([]float64, e.nVars)
 			e.initVars(v)
 			g := make([]float64, e.nVars)
-			if !cold {
+			switch kind {
+			case "moved":
 				e.eval(v, g)
+			case "gradient-only":
+				e.eval(v, nil)
 			}
-			for i := range v { // move every variable off the placement
-				v[i] += 0.37 + float64(i%5)*0.11
+			if kind != "gradient-only" {
+				for i := range v { // move every variable off the placement
+					v[i] += 0.37 + float64(i%5)*0.11
+				}
 			}
 
 			ctx, cancel := context.WithCancel(context.Background())
@@ -317,7 +324,7 @@ func TestRefreshCompletesUnderCancelledContext(t *testing.T) {
 			e.ctx = ctx
 			e.pot.SetParallel(e.pool, ctx)
 			if f := e.eval(v, g); f == f { // NaN != NaN
-				t.Fatalf("workers=%d cold=%v: cancelled evaluation returned finite %v", workers, cold, f)
+				t.Fatalf("workers=%d %s: cancelled evaluation returned finite %v", workers, kind, f)
 			}
 
 			e.ctx = context.Background()
@@ -328,11 +335,11 @@ func TestRefreshCompletesUnderCancelledContext(t *testing.T) {
 			gRef := make([]float64, e.nVars)
 			fRef := ref.eval(v, gRef)
 			if f != fRef {
-				t.Fatalf("workers=%d cold=%v: objective after cancellation %v != fresh engine %v", workers, cold, f, fRef)
+				t.Fatalf("workers=%d %s: objective after cancellation %v != fresh engine %v", workers, kind, f, fRef)
 			}
 			for i := range g {
 				if g[i] != gRef[i] {
-					t.Fatalf("workers=%d cold=%v: grad[%d] %v != fresh engine %v", workers, cold, i, g[i], gRef[i])
+					t.Fatalf("workers=%d %s: grad[%d] %v != fresh engine %v", workers, kind, i, g[i], gRef[i])
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/density"
 	"repro/internal/geom"
@@ -107,16 +106,15 @@ type Result struct {
 	Workers int
 	// NetRecomputes and NetReuses count per-net, per-evaluation outcomes of
 	// the incremental (delta) evaluator: a recompute ran the wirelength
-	// kernel because a pin of the net moved (or γ changed); a reuse served
-	// the stored per-net value — and, for gradient evaluations, the stored
-	// per-pin gradients — because nothing the net depends on changed.
+	// kernel because the evaluation point moved (or γ changed); a reuse
+	// served the stored per-net value — and, for gradient evaluations, the
+	// stored per-pin gradients — because neither changed.
 	NetRecomputes int64
 	NetReuses     int64
 	// FullEvals and DeltaEvals classify whole objective evaluations: full
-	// means every net recomputed (cold start, γ change, line-search probes
-	// that move all variables), delta means at least one net was reused
-	// (gradient evaluation at an accepted iterate, rollback re-evaluation,
-	// moves touching a variable subset).
+	// means every net recomputed (cold start, γ change, a moved point such
+	// as every line-search probe), delta means the nets were reused
+	// (gradient evaluation at an accepted iterate, rollback re-evaluation).
 	FullEvals  int64
 	DeltaEvals int64
 	// Congestion summarizes the routability feedback loop when it was
@@ -130,7 +128,7 @@ type Result struct {
 // DirtyNetRatio returns net recomputations over total per-net decisions
 // (recomputations + reuses), the headline effectiveness number of the
 // incremental evaluator: 1.0 means no reuse ever happened, values near zero
-// mean the epoch scheme proved almost every net clean. Returns 0 when no
+// mean almost every evaluation found its point unchanged. Returns 0 when no
 // evaluation ran.
 func (r Result) DirtyNetRatio() float64 {
 	total := r.NetRecomputes + r.NetReuses
@@ -284,34 +282,26 @@ type engine struct {
 	stX, stY              []wirelength.AxisState
 	netVal                []float64
 	pinGX, pinGY          []float64
-	netValClean           []bool // netVal/curX/curY/exp*/st* hold results at current coords+γ
-	netGradClean          []bool // pinGX/pinGY hold gradients at current coords+γ
+	nEvalNets             int64 // nets of degree ≥ 2, the ones evalWL evaluates
 	gamma                 float64
-	netRecomps, netReuses atomic.Int64
+	netRecomps, netReuses int64
 	fullEvals, deltaEvals int64
-	noReuse               bool // tests/benchmarks disable delta reuse to measure it
+	noReuse               bool // tests/benchmarks disable reuse to measure it
 
-	// Incremental-evaluation state: vPrev is the variable vector the full
-	// coordinate arrays currently reflect; refresh diffs a new vector against
-	// it and marks exactly the incident nets dirty through the var→nets CSR
-	// (varNetOff/varNets, deduplicated) and updates the cells of varCellOff/
-	// varCells. wlAllDirty is the γ-epoch hammer: SetGamma invalidates every
-	// net at once without walking the incidence lists.
-	vPrev       []float64
-	havePrev    bool
-	wlAllDirty  bool
-	varNetOff   []int32
-	varNets     []int32
-	varCellOff  []int32
-	varCells    []int32
-	changedVars []int32 // refresh scratch: indices of moved variables
-
-	// Density term cache: dgx/dgy hold the (unweighted) density gradients of
-	// the last density gradient pass; densVal the objective. densClean means
-	// densVal is the potential's value at the current coordinates (and the
-	// potential's internal tables/residuals match them); densGradClean means
-	// dgx/dgy match too. λ is applied at fold time, so λ changes between
-	// outer stages never invalidate the cache.
+	// Evaluation-point cache. vPrev is the variable vector the full
+	// coordinate arrays reflect; refresh compares a new vector against it and
+	// drops every flag below when any variable moved. wlClean means netVal,
+	// curX/curY, exp* and st* hold the wirelength state at vPrev and the
+	// current γ; wlGradClean means pinGX/pinGY hold its pin gradients too.
+	// dgx/dgy hold the (unweighted) density gradients of the last density
+	// gradient pass and densVal the density objective; densClean means
+	// densVal is the potential's value at vPrev (and the potential's internal
+	// tables/residuals match it); densGradClean means dgx/dgy match too. λ is
+	// applied at fold time, so λ changes between outer stages never
+	// invalidate the cache; γ changes drop the wirelength flags (setGamma).
+	vPrev                    []float64
+	havePrev                 bool
+	wlClean, wlGradClean     bool
 	dgx, dgy                 []float64
 	densVal                  float64
 	densClean, densGradClean bool
@@ -468,12 +458,13 @@ func newEngine(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Op
 	e.stX = make([]wirelength.AxisState, nNets)
 	e.stY = make([]wirelength.AxisState, nNets)
 	e.netVal = make([]float64, nNets)
-	e.netValClean = make([]bool, nNets)
-	e.netGradClean = make([]bool, nNets)
+	for ni := range nl.Nets {
+		if e.netOff[ni+1]-e.netOff[ni] >= 2 {
+			e.nEvalNets++
+		}
+	}
 
 	e.vPrev = make([]float64, e.nVars)
-	e.changedVars = make([]int32, 0, e.nVars)
-	e.buildIncidence()
 	e.buildCellPins()
 	return e
 }
@@ -513,110 +504,12 @@ func (e *engine) buildCellPins() {
 	})
 }
 
-// buildIncidence constructs the two deduplicated CSR incidence maps the
-// delta evaluator diffs through: variable → cells (to update the full
-// coordinate arrays of exactly the moved cells) and variable → nets (to mark
-// exactly the affected nets dirty). In hard alignment mode one variable can
-// own many cells and a net can touch one variable through several pins; the
-// per-variable net lists carry each net once.
-func (e *engine) buildIncidence() {
-	nl := e.nl
-	// var → cells.
-	cellCnt := make([]int32, e.nVars+1)
-	for c := range nl.Cells {
-		if e.xVar[c] < 0 {
-			continue
-		}
-		cellCnt[e.xVar[c]+1]++
-		cellCnt[e.nx+e.yVar[c]+1]++
-	}
-	for i := 0; i < e.nVars; i++ {
-		cellCnt[i+1] += cellCnt[i]
-	}
-	e.varCellOff = cellCnt
-	e.varCells = make([]int32, cellCnt[e.nVars])
-	fill := make([]int32, e.nVars)
-	copy(fill, cellCnt[:e.nVars])
-	for c := range nl.Cells {
-		if e.xVar[c] < 0 {
-			continue
-		}
-		xv, yv := e.xVar[c], e.nx+e.yVar[c]
-		e.varCells[fill[xv]] = int32(c)
-		fill[xv]++
-		e.varCells[fill[yv]] = int32(c)
-		fill[yv]++
-	}
-
-	// var → nets, deduplicated per (variable, net) pair. Nets are visited in
-	// ascending order, so "last net appended to this variable" detects
-	// duplicates without a set.
-	netCnt := make([]int32, e.nVars+1)
-	last := make([]int32, e.nVars)
-	for i := range last {
-		last[i] = -1
-	}
-	countVar := func(v int, ni int32) {
-		if last[v] != ni {
-			last[v] = ni
-			netCnt[v+1]++
-		}
-	}
-	for ni := range nl.Nets {
-		net := &nl.Nets[ni]
-		if net.Degree() < 2 {
-			continue
-		}
-		for _, pid := range net.Pins {
-			pin := nl.Pin(pid)
-			if pin.Cell == netlist.NoCell || e.xVar[pin.Cell] < 0 {
-				continue
-			}
-			countVar(e.xVar[pin.Cell], int32(ni))
-			countVar(e.nx+e.yVar[pin.Cell], int32(ni))
-		}
-	}
-	for i := 0; i < e.nVars; i++ {
-		netCnt[i+1] += netCnt[i]
-	}
-	e.varNetOff = netCnt
-	e.varNets = make([]int32, netCnt[e.nVars])
-	for i := range last {
-		last[i] = -1
-	}
-	netFill := make([]int32, e.nVars)
-	copy(netFill, netCnt[:e.nVars])
-	appendVar := func(v int, ni int32) {
-		if last[v] != ni {
-			last[v] = ni
-			e.varNets[netFill[v]] = ni
-			netFill[v]++
-		}
-	}
-	for ni := range nl.Nets {
-		net := &nl.Nets[ni]
-		if net.Degree() < 2 {
-			continue
-		}
-		for _, pid := range net.Pins {
-			pin := nl.Pin(pid)
-			if pin.Cell == netlist.NoCell || e.xVar[pin.Cell] < 0 {
-				continue
-			}
-			appendVar(e.xVar[pin.Cell], int32(ni))
-			appendVar(e.nx+e.yVar[pin.Cell], int32(ni))
-		}
-	}
-}
-
-// setGamma installs a new smoothing parameter and invalidates every net at
-// once: stored values and exponentials are exact only at the γ they were
-// computed with, so each step of the λ/γ-schedule dirties the whole
-// wirelength state. The density cache is untouched — it does not depend
-// on γ.
+// setGamma installs a new smoothing parameter and drops the wirelength
+// cache: stored values and exponentials are exact only at the γ they were
+// computed with. The density cache is untouched — it does not depend on γ.
 func (e *engine) setGamma(g float64) {
 	e.gamma = g
-	e.wlAllDirty = true
+	e.wlClean, e.wlGradClean = false, false
 }
 
 // rowHOf returns the cell height of a group (uniform in row-based designs).
@@ -678,68 +571,37 @@ func (e *engine) initVars(v []float64) {
 	e.clampVars(v)
 }
 
-// refresh moves the engine's full-coordinate arrays and dirty-net state to
-// the variable vector v. It is the only entry point that may change xFull/
-// yFull/cxFull/cyFull: diffing v against vPrev identifies exactly the moved
-// variables, their cells are updated through the var→cells CSR, and their
-// nets marked dirty through the var→nets CSR. Every consumer of the full
-// arrays (wirelength kernels, density, alignment, tracing) therefore sees
-// coordinates whose staleness is tracked, which is what makes delta
-// evaluation exact rather than heuristic.
+// refresh moves the engine's full-coordinate arrays and term caches to the
+// variable vector v. It is the only entry point that may change xFull/
+// yFull/cxFull/cyFull. At an unchanged point it keeps every cache; when
+// any variable moved it records v in vPrev, drops all four cache flags and
+// recomputes every cell's coordinates. Line-search probes move every
+// variable (the CG direction is dense), so the reuse that pays is the
+// accepted iterate's gradient evaluation at the point its winning probe
+// just evaluated (DESIGN.md §14.2). Every consumer of the full arrays
+// (wirelength kernels, density, alignment, tracing) therefore sees
+// coordinates whose staleness is tracked, which is what makes reuse exact
+// rather than heuristic.
 func (e *engine) refresh(v []float64) {
-	if !e.havePrev || e.noReuse {
-		copy(e.vPrev, v)
-		e.havePrev = true
-		e.wlAllDirty = true
-		e.densClean, e.densGradClean = false, false
-		e.updateAllCells(v)
-	} else {
-		// Two-phase diff: find the moved variables first, then update their
-		// cells and mark their nets. Line-search probes move every variable
-		// (the CG direction is dense), and for those the per-variable walks
-		// cost more than they save — when most variables moved, updating
-		// every cell and blanket-dirtying every net is both cheaper and
-		// provably equivalent, since a cell or net recomputed from unchanged
-		// inputs reproduces its stored bits exactly.
-		changed := e.changedVars[:0]
-		for i, vi := range v {
-			//placelint:ignore floateq bitwise change detection: an unchanged bit pattern provably leaves every downstream result identical, and NaN≠NaN conservatively re-dirties
-			if vi == e.vPrev[i] {
-				continue
-			}
-			e.vPrev[i] = vi
-			changed = append(changed, int32(i))
-		}
-		e.changedVars = changed
-		if 4*len(changed) > e.nVars {
-			e.wlAllDirty = true
-			e.updateAllCells(v)
-		} else {
-			for _, i := range changed {
-				for _, c := range e.varCells[e.varCellOff[i]:e.varCellOff[i+1]] {
-					e.updateCell(int(c), v)
-				}
-			}
-			if !e.wlAllDirty {
-				for _, i := range changed {
-					for _, ni := range e.varNets[e.varNetOff[i]:e.varNetOff[i+1]] {
-						e.netValClean[ni] = false
-						e.netGradClean[ni] = false
-					}
-				}
-			}
-		}
-		if len(changed) > 0 {
-			e.densClean, e.densGradClean = false, false
+	if e.havePrev && !e.noReuse && e.atPrev(v) {
+		return
+	}
+	copy(e.vPrev, v)
+	e.havePrev = true
+	e.wlClean, e.wlGradClean = false, false
+	e.densClean, e.densGradClean = false, false
+	e.updateAllCells(v)
+}
+
+// atPrev reports whether v equals vPrev bit for bit.
+func (e *engine) atPrev(v []float64) bool {
+	for i, vi := range v {
+		//placelint:ignore floateq bitwise change detection: an unchanged bit pattern provably leaves every downstream result identical, and NaN≠NaN conservatively refreshes
+		if vi != e.vPrev[i] {
+			return false
 		}
 	}
-	if e.wlAllDirty {
-		for i := range e.netValClean {
-			e.netValClean[i] = false
-			e.netGradClean[i] = false
-		}
-		e.wlAllDirty = false
-	}
+	return true
 }
 
 // updateAllCells recomputes every movable cell's coordinates from v in one
@@ -771,9 +633,9 @@ func (e *engine) updateCell(c int, v []float64) {
 
 // eval computes the objective and, when grad is non-nil, the gradient at v.
 // Value-only calls (grad == nil) are what the optimizer's line-search probes
-// issue under ValueOnlyProbes; the delta evaluator then reuses per-net
-// values, the density objective and the stored gradients wherever the
-// incidence diff proves them current.
+// issue under ValueOnlyProbes; at a point refresh finds unchanged, the
+// stored wirelength and density values and gradients are reused instead of
+// recomputed.
 func (e *engine) eval(v, grad []float64) float64 {
 	e.funcEvals++
 	e.refresh(v)
@@ -785,12 +647,11 @@ func (e *engine) eval(v, grad []float64) float64 {
 		}
 	}
 
-	reuse0 := e.netReuses.Load()
-	recomp0 := e.netRecomps.Load()
+	reuse0, recomp0 := e.netReuses, e.netRecomps
 	wl := e.evalWL(withGrad)
-	if e.netReuses.Load() > reuse0 {
+	if e.netReuses > reuse0 {
 		e.deltaEvals++
-	} else if e.netRecomps.Load() > recomp0 {
+	} else if e.netRecomps > recomp0 {
 		e.fullEvals++
 	}
 
@@ -847,97 +708,38 @@ func (e *engine) eval(v, grad []float64) float64 {
 // accumulates the weighted per-pin gradients into the full per-cell arrays.
 //
 // The evaluation is sharded by net through the SoA kernels of package
-// wirelength: dirty nets gather their pin coordinates from the flat CSR
-// view, run WAValueAxis/LSEValueAxis into their own exp/state slots, and —
-// when a gradient is wanted — WAGradAxis/LSEGradAxis into their pin-gradient
-// slots. Clean nets are skipped entirely; a net whose value is clean but
-// whose gradient is stale gets a gradient-only pass from the stored
-// exponentials, with no math.Exp call. The weighted pin gradients then
-// reach the cells through a parallel gather: each cell walks its pin slots
-// in ascending order (the cellPins CSR), adding exactly what a serial
-// scatter over nets would have added to it, in the same order. The
-// weighted objective sum runs serially in net order. The result is
-// therefore bit-identical at every worker count and to a from-scratch
-// evaluation (the kernels are pure functions of stored inputs).
+// wirelength. With the value cache stale, every net gathers its pin
+// coordinates from the flat CSR view and runs WAValueAxis/LSEValueAxis into
+// its own exp/state slots, and — when a gradient is wanted —
+// WAGradAxis/LSEGradAxis into its pin-gradient slots. With the value cache
+// clean and the gradient stale, the pass is gradient-only, from the stored
+// exponentials, with no math.Exp call; with both clean it is skipped. The
+// weighted pin gradients then reach the cells through a parallel gather:
+// each cell walks its pin slots in ascending order (the cellPins CSR),
+// adding exactly what a serial scatter over nets would have added to it, in
+// the same order. The weighted objective sum runs serially in net order.
+// The result is therefore bit-identical at every worker count and to a
+// from-scratch evaluation (the kernels are pure functions of stored inputs).
 func (e *engine) evalWL(withGrad bool) float64 {
-	nNets := len(e.netVal)
-	// Hoist the hot slices and scalars out of the worker closure: the engine
-	// holds atomic counters, so repeated field loads through e would not be
-	// registerized inside the net loop.
-	netOff, pinCell, pinDX, pinDY := e.netOff, e.pinCell, e.pinDX, e.pinDY
-	curX, curY, xFull, yFull := e.curX, e.curY, e.xFull, e.yFull
-	expPX, expNX, expPY, expNY := e.expPX, e.expNX, e.expPY, e.expNY
-	netValClean, netGradClean := e.netValClean, e.netGradClean
-	netVal, stX, stY := e.netVal, e.stX, e.stY
-	pinGX, pinGY := e.pinGX, e.pinGY
-	lse, gamma := e.lse, e.gamma
-	if err := e.pool.Run(e.ctx, nNets, e.pool.Grain(nNets, 256), func(lo, hi int) {
-		var recomputed, reused int64
-		for ni := lo; ni < hi; ni++ {
-			off, end := int(netOff[ni]), int(netOff[ni+1])
-			if end-off < 2 {
-				continue
-			}
-			if netValClean[ni] && (!withGrad || netGradClean[ni]) {
-				reused++
-				continue
-			}
-			xs, ys := curX[off:end], curY[off:end]
-			epx, enx := expPX[off:end], expNX[off:end]
-			epy, eny := expPY[off:end], expNY[off:end]
-			if !netValClean[ni] {
-				recomputed++
-				for k := off; k < end; k++ {
-					if c := pinCell[k]; c >= 0 {
-						curX[k] = xFull[c] + pinDX[k]
-						curY[k] = yFull[c] + pinDY[k]
-					} else {
-						curX[k] = pinDX[k]
-						curY[k] = pinDY[k]
-					}
-				}
-				if lse {
-					sx, wx := wirelength.LSEValueAxis(xs, epx, enx, gamma)
-					sy, wy := wirelength.LSEValueAxis(ys, epy, eny, gamma)
-					stX[ni], stY[ni] = sx, sy
-					netVal[ni] = wx + wy
-				} else {
-					sx, wx := wirelength.WAValueAxis(xs, epx, enx, gamma)
-					sy, wy := wirelength.WAValueAxis(ys, epy, eny, gamma)
-					stX[ni], stY[ni] = sx, sy
-					netVal[ni] = wx + wy
-				}
-				netValClean[ni] = true
-				netGradClean[ni] = false
-			} else {
-				// Value current, gradient stale: the gradient-only fast path
-				// below reconstructs it from the stored exponentials.
-				reused++
-			}
-			if withGrad {
-				if lse {
-					wirelength.LSEGradAxis(epx, enx, stX[ni], pinGX[off:end])
-					wirelength.LSEGradAxis(epy, eny, stY[ni], pinGY[off:end])
-				} else {
-					wirelength.WAGradAxis(xs, epx, enx, stX[ni], gamma, pinGX[off:end])
-					wirelength.WAGradAxis(ys, epy, eny, stY[ni], gamma, pinGY[off:end])
-				}
-				netGradClean[ni] = true
-			}
+	recompute := !e.wlClean
+	if recompute || (withGrad && !e.wlGradClean) {
+		if err := e.netPass(recompute, withGrad); err != nil {
+			// Cancelled mid-pass: poison the objective so the optimizer
+			// rejects the iterate; its own context poll stops the solve next.
+			// The stale flag stays down, so the next evaluation redoes it.
+			return math.NaN()
 		}
-		e.netRecomps.Add(recomputed)
-		e.netReuses.Add(reused)
-	}); err != nil {
-		// Cancelled mid-evaluation: poison the objective so the optimizer
-		// rejects the iterate; its own context poll stops the solve next.
-		// Any nets marked clean hold valid results — cleanliness is per net,
-		// not per evaluation — but the poisoned objective is discarded.
-		return math.NaN()
+		e.wlClean, e.wlGradClean = true, withGrad
+	}
+	if recompute {
+		e.netRecomps += e.nEvalNets
+	} else {
+		e.netReuses += e.nEvalNets
 	}
 
 	if withGrad {
 		cellPinOff, cellPins, cellPinW := e.cellPinOff, e.cellPins, e.cellPinW
-		gxFull, gyFull := e.gxFull, e.gyFull
+		pinGX, pinGY, gxFull, gyFull := e.pinGX, e.pinGY, e.gxFull, e.gyFull
 		nc := len(gxFull)
 		if err := e.pool.Run(e.ctx, nc, e.pool.Grain(nc, 256), func(lo, hi int) {
 			for c := lo; c < hi; c++ {
@@ -959,15 +761,74 @@ func (e *engine) evalWL(withGrad bool) float64 {
 	}
 
 	// Objective: serial in net order.
-	netWeight := e.netWeight
+	netOff, netWeight, netVal := e.netOff, e.netWeight, e.netVal
 	total := 0.0
-	for ni := 0; ni < nNets; ni++ {
+	for ni := range netVal {
 		if netOff[ni+1]-netOff[ni] < 2 {
 			continue
 		}
 		total += netWeight[ni] * netVal[ni]
 	}
 	return total
+}
+
+// netPass runs the per-net wirelength kernels over every net of degree
+// ≥ 2: the value kernels, after gathering the net's pin coordinates, when
+// recompute is set, and the gradient kernels, from the stored exponentials,
+// when withGrad is. Each net writes only its own slots.
+func (e *engine) netPass(recompute, withGrad bool) error {
+	nNets := len(e.netVal)
+	// Hoist the hot slices and scalars out of the worker closure, so the
+	// net loop reads locals rather than fields through e, which its slice
+	// stores could alias.
+	netOff, pinCell, pinDX, pinDY := e.netOff, e.pinCell, e.pinDX, e.pinDY
+	curX, curY, xFull, yFull := e.curX, e.curY, e.xFull, e.yFull
+	expPX, expNX, expPY, expNY := e.expPX, e.expNX, e.expPY, e.expNY
+	netVal, stX, stY := e.netVal, e.stX, e.stY
+	pinGX, pinGY := e.pinGX, e.pinGY
+	lse, gamma := e.lse, e.gamma
+	return e.pool.Run(e.ctx, nNets, e.pool.Grain(nNets, 256), func(lo, hi int) {
+		for ni := lo; ni < hi; ni++ {
+			off, end := int(netOff[ni]), int(netOff[ni+1])
+			if end-off < 2 {
+				continue
+			}
+			xs, ys := curX[off:end], curY[off:end]
+			epx, enx := expPX[off:end], expNX[off:end]
+			epy, eny := expPY[off:end], expNY[off:end]
+			if recompute {
+				for k := off; k < end; k++ {
+					if c := pinCell[k]; c >= 0 {
+						curX[k] = xFull[c] + pinDX[k]
+						curY[k] = yFull[c] + pinDY[k]
+					} else {
+						curX[k] = pinDX[k]
+						curY[k] = pinDY[k]
+					}
+				}
+				if lse {
+					sx, wx := wirelength.LSEValueAxis(xs, epx, enx, gamma)
+					sy, wy := wirelength.LSEValueAxis(ys, epy, eny, gamma)
+					stX[ni], stY[ni] = sx, sy
+					netVal[ni] = wx + wy
+				} else {
+					sx, wx := wirelength.WAValueAxis(xs, epx, enx, gamma)
+					sy, wy := wirelength.WAValueAxis(ys, epy, eny, gamma)
+					stX[ni], stY[ni] = sx, sy
+					netVal[ni] = wx + wy
+				}
+			}
+			if withGrad {
+				if lse {
+					wirelength.LSEGradAxis(epx, enx, stX[ni], pinGX[off:end])
+					wirelength.LSEGradAxis(epy, eny, stY[ni], pinGY[off:end])
+				} else {
+					wirelength.WAGradAxis(xs, epx, enx, stX[ni], gamma, pinGX[off:end])
+					wirelength.WAGradAxis(ys, epy, eny, stY[ni], gamma, pinGY[off:end])
+				}
+			}
+		}
+	})
 }
 
 // evalAlign computes the soft alignment energy and adds weight·grad.
@@ -1118,13 +979,10 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		// Congestion feedback: pl holds the committed iterate (the initial
 		// placement at outer 0), so the snapshot sees what the spreader
 		// produced. Inflation changes the density objective at unchanged
-		// coordinates, so both density caches must drop (§14: all-or-nothing).
+		// coordinates, so both density caches must drop (DESIGN.md §14.2).
 		if e.cong.Due(outer, lastOv) {
 			if e.cong.Snapshot(ctx, e.pool, pl) {
 				e.pot.SetAreaScale(e.cong.Scale())
-				if ts := e.cong.TargetScale(); ts != nil {
-					e.pot.SetTargetScale(ts)
-				}
 				e.densClean, e.densGradClean = false, false
 				st := e.cong.Stats()
 				rec.SolverEvent("global", outer, "congestion-inflate", 0, 0, e.lambda)
@@ -1260,8 +1118,8 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 	res.Overflow = density.Overflow(nl, pl, e.grid, e.o.TargetDensity)
 	res.AlignRMS = AlignmentScore(e.o.Groups, e.core.RowH(), e.cxFull, e.cyFull)
 	res.Workers = e.pool.Workers()
-	res.NetRecomputes = e.netRecomps.Load()
-	res.NetReuses = e.netReuses.Load()
+	res.NetRecomputes = e.netRecomps
+	res.NetReuses = e.netReuses
 	res.FullEvals = e.fullEvals
 	res.DeltaEvals = e.deltaEvals
 	rec.Add("global/net_recomputes", res.NetRecomputes)

@@ -7,15 +7,15 @@ import (
 )
 
 // checkParDiscipline enforces the compute-then-reduce rule inside closures
-// handed to the internal/par pool (Run, RunWorker, ForShards): a worker may
-// write only to slots it owns — slice elements indexed by a value derived
-// from the closure's own parameters or locals (the lo..hi range, the worker
-// or shard index, a loop variable over them). Anything else is either a
-// data race or, for commutative-looking float accumulation, a silent
-// dependence on the dynamic schedule: `sum += v` inside a par closure
-// produces a different rounding at every worker count, which is exactly the
-// bug class the golden TestWorkersBitIdentical exists to catch — placelint
-// rejects it before it runs.
+// handed to the internal/par pool (Run, ForShards): a worker may write only
+// to slots it owns — slice elements indexed by a value derived from the
+// closure's own parameters or locals (the lo..hi range, the shard index, a
+// loop variable over them). Anything else is either a data race or, for
+// commutative-looking float accumulation, a silent dependence on the
+// dynamic schedule: `sum += v` inside a par closure produces a different
+// rounding at every worker count, which is exactly the bug class the golden
+// TestWorkersBitIdentical exists to catch — placelint rejects it before it
+// runs.
 //
 // Flagged writes, from worst to subtlest:
 //
@@ -48,7 +48,7 @@ func checkParDiscipline(p *pass) {
 
 // parMethods are the pool entry points whose closure arguments run
 // concurrently.
-var parMethods = map[string]bool{"Run": true, "RunWorker": true, "ForShards": true}
+var parMethods = map[string]bool{"Run": true, "ForShards": true}
 
 // isParPoolCall reports whether call invokes a method of internal/par.Pool
 // that takes a worker closure.

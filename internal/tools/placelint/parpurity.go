@@ -8,8 +8,8 @@ import (
 // checkParPurity makes PR 3's compute-then-reduce discipline
 // interprocedural. pardiscipline polices the worker closure's own writes;
 // parpurity polices what the closure calls: every function invoked (by
-// static call) from a closure handed to internal/par (Run, RunWorker,
-// ForShards) must be transitively free of
+// static call) from a closure handed to internal/par (Run, ForShards) must
+// be transitively free of
 //
 //   - writes to package-level variables (a hidden shared accumulator two
 //     frames down races and schedule-orders exactly like an inline one),

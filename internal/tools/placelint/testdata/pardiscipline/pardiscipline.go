@@ -1,7 +1,7 @@
 // Package pardiscipline seeds the pardiscipline check: inside a closure
 // handed to the internal/par pool, writes must land in worker-owned slots.
 // Shared accumulators, map writes, and fixed-index slice writes are flagged;
-// slots indexed by the closure's own range (or the worker id) are exempt,
+// slots indexed by the closure's own range (or the shard index) are exempt,
 // as is the serial reduction after the pool call returns.
 package pardiscipline
 
@@ -42,11 +42,12 @@ func computeThenReduce(ctx context.Context, pool *par.Pool, xs []float64) float6
 	return total
 }
 
-func perWorkerPartials(ctx context.Context, pool *par.Pool, xs []float64) float64 {
-	partial := make([]float64, pool.Workers())
-	_ = pool.RunWorker(ctx, len(xs), 1, func(w, lo, hi int) {
+func perShardPartials(ctx context.Context, pool *par.Pool, xs []float64) float64 {
+	const shards = 4
+	partial := make([]float64, shards)
+	_ = pool.ForShards(ctx, len(xs), shards, func(s, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			partial[w] += xs[i] // exempt: the worker owns slot w
+			partial[s] += xs[i] // exempt: the shard owns slot s
 		}
 	})
 	total := 0.0
