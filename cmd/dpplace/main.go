@@ -44,7 +44,8 @@
 //
 //	0  success (possibly with recorded degradations under -on-degrade fallback)
 //	1  unexpected error
-//	2  usage error
+//	2  usage error, including a numeric flag out of its range (checked
+//	   before the design is read)
 //	3  deadline exceeded (-timeout); a legal partial result, when one
 //	   exists, is still written to -out
 //	4  malformed input file
@@ -175,11 +176,11 @@ var flagGroups = []struct {
 func registerFlags(fs *flag.FlagSet) *cliFlags {
 	f := &cliFlags{}
 	f.mode = fs.String("mode", "structure-aware", "placement mode: structure-aware or baseline")
-	f.model = fs.String("model", "wa", "smooth wirelength model: wa or lse")
+	f.model = fs.String("model", global.DefaultWLModel, "smooth wirelength model: wa or lse")
 	f.outPl = fs.String("out", "", "output .pl path (default: stdout summary only)")
 	f.outSVG = fs.String("svg", "", "render the final placement to this SVG path")
-	f.outer = fs.Int("outer", 24, "max outer (λ-schedule) iterations")
-	f.inner = fs.Int("inner", 50, "conjugate-gradient iterations per stage")
+	f.outer = fs.Int("outer", global.DefaultOuterIters, "max outer (λ-schedule) iterations")
+	f.inner = fs.Int("inner", global.DefaultInnerIters, "conjugate-gradient iterations per stage")
 	f.timeout = fs.Duration("timeout", 0, "wall-clock budget for the whole pipeline (0 = none)")
 	f.onDegrade = fs.String("on-degrade", "fallback",
 		"reaction to degenerate/diverging datapath groups: fallback (place them as plain cells) or fail")
@@ -228,6 +229,30 @@ func printUsage(fs *flag.FlagSet) {
 	}
 }
 
+// checkRanges rejects numeric flag values outside their range, which the
+// engine would otherwise silently replace with its default. The negated
+// float comparisons reject NaN too.
+func checkRanges(f *cliFlags) error {
+	if !(*f.inflateMax > 1) {
+		return fmt.Errorf("-inflate-max %v out of range: must be > 1", *f.inflateMax)
+	}
+	if !(*f.clusterRatio > 0 && *f.clusterRatio < 1) {
+		return fmt.Errorf("-cluster-ratio %v out of range: must be in (0, 1)", *f.clusterRatio)
+	}
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"outer", *f.outer}, {"inner", *f.inner}, {"levels", *f.levels}, {"workers", *f.workers}} {
+		if c.v < 0 {
+			return fmt.Errorf("-%s %d out of range: must be >= 0", c.name, c.v)
+		}
+	}
+	if *f.timeout < 0 {
+		return fmt.Errorf("-timeout %v out of range: must be >= 0", *f.timeout)
+	}
+	return nil
+}
+
 // run is main with deferred cleanup intact: profiles and the trace buffer
 // flush on every exit path, which os.Exit inside the body would skip.
 func run() int {
@@ -255,6 +280,9 @@ func run() int {
 	if flag.NArg() != 1 {
 		flag.Usage()
 		return exitUsage
+	}
+	if err := checkRanges(f); err != nil {
+		return fatal(exitUsage, "%v", err)
 	}
 
 	if *tracePath != "" {
@@ -498,44 +526,9 @@ func printSummary(w *os.File, mode core.Mode, res *core.Result, rep *metrics.Rep
 // exitLabel is the machine-readable exit classification ("interrupted" for
 // signal stops, exitName(err) otherwise).
 func writeReport(path, design string, mode core.Mode, res *core.Result, rep *metrics.Report, exitLabel string, rec *obs.Recorder) error {
-	counters := rec.Counters()
+	out := res.RunReport(design, mode, exitLabel, rec)
 	if n := faultinject.FiredTotal(); n > 0 {
-		counters["fault_injections"] = int64(n)
-	}
-	out := &obs.RunReport{
-		Design:  design,
-		Mode:    mode.String(),
-		Exit:    exitLabel,
-		Partial: res.Partial,
-		Workers: res.GlobalResult.Workers,
-		HPWL: obs.HPWLSummary{
-			Global: res.HPWLGlobal,
-			Legal:  res.HPWLLegal,
-			Final:  res.HPWLFinal,
-		},
-		StageSeconds: map[string]float64{
-			"extract":  res.Times.Extract.Seconds(),
-			"global":   res.Times.Global.Seconds(),
-			"legalize": res.Times.Legalize.Seconds(),
-			"detail":   res.Times.Detail.Seconds(),
-		},
-		Counters:        counters,
-		Trajectory:      rec.Trajectory(),
-		DirtyNetRatio:   res.GlobalResult.DirtyNetRatio(),
-		FullRecomputes:  res.GlobalResult.FullEvals,
-		DeltaRecomputes: res.GlobalResult.DeltaEvals,
-	}
-	if res.Multilevel != nil {
-		out.Levels = res.Multilevel.Levels
-		out.ClusterRatio = res.Multilevel.ClusterRatio
-	}
-	if c := res.GlobalResult.Congestion; c != nil {
-		out.Congestion = c.Report()
-	}
-	for _, deg := range res.Degradations {
-		out.Degradations = append(out.Degradations, obs.DegradeEntry{
-			Stage: deg.Stage, Group: deg.Group, Reason: deg.Reason,
-		})
+		out.Counters["fault_injections"] = int64(n)
 	}
 	if rep != nil {
 		out.Metrics = rep

@@ -40,7 +40,7 @@ type (
 	DegradePolicy = core.DegradePolicy
 	// Degradation records one graceful-degradation event of a run.
 	Degradation = core.Degradation
-	// StageTimes carries optional per-stage wall-clock budgets.
+	// StageTimes records the elapsed wall clock of each pipeline stage.
 	StageTimes = core.StageTimes
 	// MultilevelOptions tunes V-cycle clustered global placement; see
 	// multilevel.Options (enable via Options.Multilevel).

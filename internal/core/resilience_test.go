@@ -142,21 +142,6 @@ func TestDeadlineInjection(t *testing.T) {
 	}
 }
 
-// TestStageBudget bounds only the global stage and expects the same partial
-// semantics as a whole-pipeline timeout.
-func TestStageBudget(t *testing.T) {
-	b := pipelineBench(t)
-	opt := fastOpts()
-	opt.Budgets.Global = time.Millisecond
-	res, err := core.Place(b.Netlist, b.Core, b.Placement, opt)
-	if !errors.Is(err, core.ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if res == nil || !res.Partial {
-		t.Fatal("stage budget expiry did not produce a partial result")
-	}
-}
-
 // TestCancelledContext aborts before the pipeline starts; even then the
 // caller gets a partial result object, not nil.
 func TestCancelledContext(t *testing.T) {
@@ -248,30 +233,5 @@ func TestTruncatedInput(t *testing.T) {
 	}
 	if faultinject.Fired(faultinject.SiteBookshelfTruncate) == 0 {
 		t.Fatal("truncation never fired; test exercises nothing")
-	}
-}
-
-// TestDetailPassesDisabled covers DetailPasses == -1: legalization output is
-// final, untouched by detailed placement.
-func TestDetailPassesDisabled(t *testing.T) {
-	b := pipelineBench(t)
-	opt := fastOpts()
-	opt.DetailPasses = -1
-	res, err := core.Place(b.Netlist, b.Core, b.Placement, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HPWLFinal != res.HPWLLegal {
-		t.Errorf("HPWLFinal = %g differs from HPWLLegal = %g with detail disabled",
-			res.HPWLFinal, res.HPWLLegal)
-	}
-	if res.DetailResult.Moves != 0 {
-		t.Errorf("detail recorded %d moves while disabled", res.DetailResult.Moves)
-	}
-	if res.ColumnSwaps != 0 {
-		t.Errorf("column swaps = %d while detail disabled", res.ColumnSwaps)
-	}
-	if !res.LegalityChecked {
-		t.Error("placement not verified legal")
 	}
 }

@@ -54,27 +54,35 @@ func (e *Extraction) NumGrouped() int {
 	return n
 }
 
+// Fixed parameters of extraction.
+const (
+	// maxBusBits is the widest structural bus considered.
+	maxBusBits = 512
+	// maxFanout separates data from control: nets wider than this are
+	// control, not data.
+	maxFanout = 12
+	// defaultMinStages is the default minimum column count of a group. Two
+	// lock-step columns arise by coincidence in random logic (pairs of
+	// identical cells joined by identical 2-pin nets), and aligning such
+	// false arrays costs wirelength for no benefit; three isomorphic
+	// stages are decisive.
+	defaultMinStages = 3
+)
+
 // Options controls extraction.
 type Options struct {
 	MinBits       int  // minimum bus width / slice count (default 4)
-	MinStages     int  // minimum columns per group (default 2)
-	MaxBusBits    int  // widest structural bus considered (default 512)
-	MaxFanout     int  // nets wider than this are control, not data (default 12)
+	MinStages     int  // minimum columns per group (default 3)
 	UseNames      bool // infer buses from net names (default on via DefaultOptions)
 	UseStructural bool // infer buses from net signatures
 }
 
 // DefaultOptions returns the extraction defaults used in the paper
-// reproduction: both inference modes on. MinStages is 3 because two
-// lock-step columns arise by coincidence in random logic (pairs of identical
-// cells joined by identical 2-pin nets), and aligning such false arrays
-// costs wirelength for no benefit; three isomorphic stages are decisive.
+// reproduction: both inference modes on.
 func DefaultOptions() Options {
 	return Options{
 		MinBits:       4,
-		MinStages:     3,
-		MaxBusBits:    512,
-		MaxFanout:     12,
+		MinStages:     defaultMinStages,
 		UseNames:      true,
 		UseStructural: true,
 	}
@@ -85,13 +93,7 @@ func (o *Options) fillDefaults() {
 		o.MinBits = 4
 	}
 	if o.MinStages <= 0 {
-		o.MinStages = 2
-	}
-	if o.MaxBusBits <= 0 {
-		o.MaxBusBits = 512
-	}
-	if o.MaxFanout <= 0 {
-		o.MaxFanout = 12
+		o.MinStages = defaultMinStages
 	}
 }
 
@@ -122,7 +124,7 @@ func Extract(nl *netlist.Netlist, opt Options) *Extraction {
 	}
 	if opt.UseStructural {
 		netSigs := NetSigs(nl, ex.cellSigs)
-		buses = append(buses, StructuralBuses(nl, netSigs, opt.MinBits, opt.MaxBusBits)...)
+		buses = append(buses, StructuralBuses(nl, netSigs, opt.MinBits, maxBusBits)...)
 	}
 	// Wider buses first: they anchor the most regular structure.
 	sort.SliceStable(buses, func(a, b int) bool { return buses[a].Bits() > buses[b].Bits() })
@@ -166,7 +168,7 @@ func Extract(nl *netlist.Netlist, opt Options) *Extraction {
 		}
 		selected = ex.foldGroups(selected)
 		ex.regrow(selected)
-		selected = mergeGroups(nl, selected, opt.MaxFanout)
+		selected = mergeGroups(nl, selected, maxFanout)
 		ex.regrow(selected)
 
 		// Confidence filter: groups still shallower than MinStages after
@@ -442,7 +444,7 @@ func (ex *extractor) continuations(col []netlist.CellID, tentative map[netlist.C
 			// Lock-step requires per-bit, same-shape nets: distinct (shared
 			// = control), equal degree (unequal = boundary or coincidence),
 			// and narrow enough to be data.
-			if seenNet[ni] || deg != wantDeg || deg > ex.opt.MaxFanout {
+			if seenNet[ni] || deg != wantDeg || deg > maxFanout {
 				ok = false
 				break
 			}

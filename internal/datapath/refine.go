@@ -71,7 +71,7 @@ func (ex *extractor) partialMasks(seed []netlist.CellID) [][]bool {
 				wantDeg, bestN = d, n
 			}
 		}
-		if wantDeg < 0 || wantDeg > ex.opt.MaxFanout {
+		if wantDeg < 0 || wantDeg > maxFanout {
 			continue
 		}
 		netOK := make([]bool, bits)
@@ -213,7 +213,7 @@ func (ex *extractor) foldOne(g Group) (Group, bool) {
 				if p.Dir != netlist.DirInput {
 					continue
 				}
-				if nl.Net(p.Net).Degree() > ex.opt.MaxFanout {
+				if nl.Net(p.Net).Degree() > maxFanout {
 					continue
 				}
 				drv := ex.uniqueDriver(p.Net)

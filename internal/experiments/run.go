@@ -22,7 +22,7 @@ func (o RunOpts) globalOpts() global.Options {
 	if o.Quick {
 		return global.Options{MaxOuterIters: 12, InnerIters: 25}
 	}
-	return global.Options{MaxOuterIters: 24, InnerIters: 50}
+	return global.Options{MaxOuterIters: global.DefaultOuterIters, InnerIters: global.DefaultInnerIters}
 }
 
 // Case is one benchmark placed by both flows.

@@ -15,10 +15,14 @@ import (
 func cliffQuadratic(x, g []float64) float64 {
 	v := x[0]
 	if math.Abs(v) > 10 {
-		g[0] = 0
+		if g != nil {
+			g[0] = 0
+		}
 		return math.Inf(-1)
 	}
-	g[0] = 2 * (v - 1)
+	if g != nil {
+		g[0] = 2 * (v - 1)
+	}
 	return (v - 1) * (v - 1)
 }
 

@@ -20,9 +20,19 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Func evaluates an objective at x, fills grad (same length as x) with its
-// gradient, and returns the objective value.
+// Func evaluates an objective at x and returns its value. When grad is
+// non-nil it also fills grad (same length as x) with the gradient; a nil
+// grad means "value only". The Armijo line search probes trial points value
+// only and evaluates the gradient once, at the accepted iterate: the Armijo
+// test reads just the objective, and objectives with an incremental
+// evaluator (the placement engine) answer value-only probes far cheaper
+// than fused value+gradient ones.
 type Func func(x, grad []float64) float64
+
+// maxRecoveries bounds consecutive numerical-health recoveries (NaN/Inf
+// rollback, pathological line-search reset) before Minimize gives up and
+// reports Diverged.
+const maxRecoveries = 3
 
 // Options controls Minimize.
 type Options struct {
@@ -36,23 +46,11 @@ type Options struct {
 	// every line-search trial; on expiry Minimize stops at the best iterate
 	// found so far and sets Result.Stopped.
 	Ctx context.Context
-	// MaxRecoveries bounds consecutive numerical-health recoveries
-	// (NaN/Inf rollback, pathological line-search reset) before Minimize
-	// gives up and reports Diverged (default 3).
-	MaxRecoveries int
 	// OnEvent, when non-nil, observes solver health events — rollbacks,
 	// line-search resets, CG restarts, divergence. Callback sees only
 	// accepted iterates, so without this hook a diverged-then-recovered
 	// solve shows up as nothing but a gap in iteration numbers.
 	OnEvent func(Event)
-	// ValueOnlyProbes makes the Armijo line search call f with a nil
-	// gradient slice for trial points, re-evaluating only the accepted
-	// iterate with its gradient. The Armijo test reads just the objective, so
-	// the iterate sequence is bit-identical either way for any deterministic
-	// f; the option exists because objectives with an incremental evaluator
-	// (the placement engine) answer value-only probes far cheaper than fused
-	// value+gradient ones. FuncEvals counts the extra gradient evaluation.
-	ValueOnlyProbes bool
 }
 
 // Event kinds reported through Options.OnEvent.
@@ -66,7 +64,7 @@ const (
 	// EventCGRestart: the conjugate direction stopped being a descent
 	// direction and the search restarted with steepest descent.
 	EventCGRestart = "cg-restart"
-	// EventDiverged: the health guard exhausted MaxRecoveries and gave up.
+	// EventDiverged: the health guard exhausted its recoveries and gave up.
 	EventDiverged = "diverged"
 )
 
@@ -87,7 +85,7 @@ type Result struct {
 	Converged  bool    // gradient tolerance reached
 	FuncEvals  int     // objective evaluations including line search
 	Stopped    bool    // context expired before convergence or MaxIter
-	Diverged   bool    // health guard exhausted MaxRecoveries
+	Diverged   bool    // health guard exhausted its recoveries
 	Recoveries int     // rollback/damping events performed by the guard
 }
 
@@ -106,9 +104,6 @@ func Minimize(f Func, x []float64, opt Options) Result {
 	}
 	if opt.StepInit <= 0 {
 		opt.StepInit = 1
-	}
-	if opt.MaxRecoveries <= 0 {
-		opt.MaxRecoveries = 3
 	}
 
 	g := make([]float64, n)     // current gradient
@@ -149,7 +144,7 @@ func Minimize(f Func, x []float64, opt Options) Result {
 		// the search direction. Roll back to the best iterate (re-evaluating
 		// its gradient), damp the step and restart with steepest descent.
 		if !isFinite(fx) || !isFinite(gg) {
-			if !isFinite(bestF) || consecutive >= opt.MaxRecoveries {
+			if !isFinite(bestF) || consecutive >= maxRecoveries {
 				res.Diverged = true
 				if opt.OnEvent != nil {
 					opt.OnEvent(Event{Kind: EventDiverged, Iter: res.Iters,
@@ -211,11 +206,7 @@ func Minimize(f Func, x []float64, opt Options) Result {
 			for i := range xTrial {
 				xTrial[i] = x[i] + alpha*d[i]
 			}
-			if opt.ValueOnlyProbes {
-				fNew = f(xTrial, nil)
-			} else {
-				fNew = f(xTrial, gTrial)
-			}
+			fNew = f(xTrial, nil)
 			res.FuncEvals++
 			// Reject non-finite trial objectives outright: an Inf (or a NaN
 			// compared against a NaN fx) must never be accepted, even when it
@@ -238,7 +229,7 @@ func Minimize(f Func, x []float64, opt Options) Result {
 				// The model is returning non-finite values at this scale (or
 				// a stall was injected): recover instead of silently stopping
 				// at a possibly poor iterate.
-				if consecutive >= opt.MaxRecoveries {
+				if consecutive >= maxRecoveries {
 					res.Diverged = pathological
 					if opt.OnEvent != nil && pathological {
 						opt.OnEvent(Event{Kind: EventDiverged, Iter: res.Iters,
@@ -271,13 +262,11 @@ func Minimize(f Func, x []float64, opt Options) Result {
 		}
 		consecutive = 0
 
-		if opt.ValueOnlyProbes {
-			// The accepted trial was probed without its gradient; evaluate it
-			// now. A deterministic f returns the identical objective, so fNew
-			// stands and only gTrial is consumed.
-			f(xTrial, gTrial)
-			res.FuncEvals++
-		}
+		// The accepted trial was probed without its gradient; evaluate it
+		// now. A deterministic f returns the identical objective, so fNew
+		// stands and only gTrial is consumed.
+		f(xTrial, gTrial)
+		res.FuncEvals++
 		copy(gPrev, g)
 		copy(g, gTrial)
 		copy(x, xTrial)

@@ -6,8 +6,7 @@ import (
 )
 
 // rosenbrockN is a deterministic multi-dimensional test objective whose
-// gradient fill is skipped when grad is nil, mirroring the placement
-// engine's value-only probe contract.
+// gradient fill is skipped when grad is nil, as Func documents.
 func rosenbrockN(x, grad []float64) float64 {
 	f := 0.0
 	for i := 0; i+1 < len(x); i++ {
@@ -29,19 +28,17 @@ func rosenbrockN(x, grad []float64) float64 {
 	return f
 }
 
-// TestValueOnlyProbesBitIdentical checks the headline claim of the option:
-// the accepted-iterate sequence, final point and objective are bit-identical
-// with probes evaluating the gradient or not — only the evaluation count
-// changes (one extra gradient evaluation per accepted step, many skipped
-// gradient fills per rejected trial).
+// TestValueOnlyProbesBitIdentical checks that value-only probes leave the
+// solve unchanged: the accepted-iterate sequence, final point and objective
+// are bit-identical to those of a fused objective, one that computes the
+// gradient at every probe (into a scratch slice when handed nil).
 func TestValueOnlyProbesBitIdentical(t *testing.T) {
-	run := func(valueOnly bool) ([]float64, Result, []float64) {
+	run := func(f Func) ([]float64, Result, []float64) {
 		x := []float64{-1.2, 1, 0.5, -0.7}
 		var iterF []float64
-		res := Minimize(rosenbrockN, x, Options{
-			MaxIter:         60,
-			GradTol:         1e-9,
-			ValueOnlyProbes: valueOnly,
+		res := Minimize(f, x, Options{
+			MaxIter: 60,
+			GradTol: 1e-9,
 			Callback: func(iter int, f, gnorm float64) bool {
 				iterF = append(iterF, f)
 				return true
@@ -49,8 +46,15 @@ func TestValueOnlyProbesBitIdentical(t *testing.T) {
 		})
 		return x, res, iterF
 	}
-	xF, rF, fF := run(false)
-	xV, rV, fV := run(true)
+	scratch := make([]float64, 4)
+	fused := func(x, grad []float64) float64 {
+		if grad == nil {
+			grad = scratch
+		}
+		return rosenbrockN(x, grad)
+	}
+	xF, rF, fF := run(fused)
+	xV, rV, fV := run(rosenbrockN)
 	if rF.F != rV.F || rF.Iters != rV.Iters || rF.Converged != rV.Converged {
 		t.Fatalf("results diverge: fused %+v vs value-only %+v", rF, rV)
 	}
@@ -69,8 +73,8 @@ func TestValueOnlyProbesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestValueOnlyProbesSkipsGradients verifies the option actually skips
-// gradient fills on rejected trials and re-evaluates accepted iterates.
+// TestValueOnlyProbesSkipsGradients verifies the line search skips gradient
+// fills on trial points and re-evaluates accepted iterates.
 func TestValueOnlyProbesSkipsGradients(t *testing.T) {
 	var nilProbes, gradEvals int
 	f := func(x, grad []float64) float64 {
@@ -82,7 +86,7 @@ func TestValueOnlyProbesSkipsGradients(t *testing.T) {
 		return rosenbrockN(x, grad)
 	}
 	x := []float64{-1.2, 1}
-	res := Minimize(f, x, Options{MaxIter: 30, GradTol: 1e-9, ValueOnlyProbes: true})
+	res := Minimize(f, x, Options{MaxIter: 30, GradTol: 1e-9})
 	if nilProbes == 0 {
 		t.Fatal("no value-only probes happened")
 	}

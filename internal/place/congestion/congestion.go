@@ -23,36 +23,44 @@ import (
 	"repro/internal/route"
 )
 
+// Fixed parameters of the feedback loop.
+const (
+	// interval is the outer-iteration cadence: a snapshot fires every
+	// interval-th outer iteration. The maturity gate (MaxDensOverflow)
+	// already delays the first snapshot until late in the λ schedule, so
+	// the cadence within the remaining iterations is tight.
+	interval = 2
+	// inflateStep scales the per-snapshot multiplicative growth: a cell in
+	// a bin at twice the hot threshold grows by the full (1+inflateStep)
+	// factor, shallower excesses grow proportionally less. Tuned with
+	// hotQuantile on the seed-7 bench for roughly −19% routed overflow at
+	// under 1% HPWL cost.
+	inflateStep = 0.15
+	// hotQuantile selects hot bins relatively: a bin is hot when its demand
+	// exceeds this quantile of the snapshot's per-bin demand distribution —
+	// the worst 8% of bins, the same tail the ACE metrics watch. Relative
+	// selection is what makes the loop portable: absolute RUDY demand
+	// scales with the capacity calibration, but the hot tail is hot under
+	// any calibration.
+	hotQuantile = 0.92
+	// hotThreshold is an absolute floor under the quantile: bins below this
+	// normalized demand are never hot even when the design is so
+	// uncongested that the quantile lands there. 1.0 means demand exceeds
+	// capacity.
+	hotThreshold = 1.0
+	// rudyWireWidth is the wire width of the RUDY estimate, one database
+	// unit as in the evaluation.
+	rudyWireWidth = 1
+)
+
 // Options configures the feedback loop. The zero value with Enable=false is
 // inert; New applies the documented defaults to zero fields.
 type Options struct {
 	// Enable turns the loop on. All other fields are ignored when false.
 	Enable bool
-	// Interval is the outer-iteration cadence: a snapshot fires every
-	// Interval-th outer iteration (default 2 — the maturity gate below
-	// already delays the first snapshot until late in the λ schedule, so
-	// the cadence within the remaining iterations is tight).
-	Interval int
 	// MaxInflate caps the per-cell area multiplier (default 2.0). The
 	// schedule is monotone non-decreasing and never exceeds this cap.
 	MaxInflate float64
-	// InflateStep scales the per-snapshot multiplicative growth: a cell in
-	// a bin at twice the hot threshold grows by the full (1+InflateStep)
-	// factor, shallower excesses grow proportionally less (default 0.15 —
-	// tuned with HotQuantile on the seed-7 bench for roughly −19% routed
-	// overflow at under 1% HPWL cost).
-	InflateStep float64
-	// HotQuantile selects hot bins relatively: a bin is hot when its demand
-	// exceeds this quantile of the snapshot's per-bin demand distribution
-	// (default 0.92 — the worst 8% of bins, the same tail the ACE metrics
-	// watch). Relative selection is what makes the loop portable: absolute
-	// RUDY demand scales with the capacity calibration, but the hot tail is
-	// hot under any calibration.
-	HotQuantile float64
-	// HotThreshold is an absolute floor under the quantile: bins below this
-	// normalized demand are never hot even when the design is so uncongested
-	// that the quantile lands there (default 1.0 — demand exceeds capacity).
-	HotThreshold float64
 	// MaxDensOverflow gates the cadence on placement maturity: snapshots
 	// fire only once the committed placement's exact density overflow has
 	// dropped below this (default 0.35). Early in the λ schedule cells are
@@ -68,28 +76,15 @@ type Options struct {
 	// multilevel driver sets it on the finest level so inflation responds
 	// to the warm-started placement inherited from the coarser level.
 	SnapshotOnEntry bool
-	// WireWidth and Capacity configure the RUDY estimate (route.RUDYOptions;
-	// Capacity defaults to 0.15, matching the evaluation calibration).
-	WireWidth float64
-	Capacity  float64
+	// Capacity is the RUDY routing capacity per unit bin area (default
+	// 0.15, matching the evaluation calibration).
+	Capacity float64
 }
 
 // withDefaults returns o with zero fields replaced by the documented defaults.
 func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = 2
-	}
-	if o.HotQuantile <= 0 || o.HotQuantile >= 1 {
-		o.HotQuantile = 0.92
-	}
 	if o.MaxInflate <= 1 {
 		o.MaxInflate = 2.0
-	}
-	if o.InflateStep <= 0 {
-		o.InflateStep = 0.15
-	}
-	if o.HotThreshold <= 0 {
-		o.HotThreshold = 1.0
 	}
 	if o.MaxDensOverflow <= 0 {
 		o.MaxDensOverflow = 0.35
@@ -164,7 +159,7 @@ func New(nl *netlist.Netlist, grid geom.Grid, opt Options) *Controller {
 		grid: grid,
 		opt:  opt,
 		est: route.NewEstimator(nl, grid, route.RUDYOptions{
-			WireWidth: opt.WireWidth,
+			WireWidth: rudyWireWidth,
 			Capacity:  opt.Capacity,
 		}),
 		scale:        make([]float64, len(nl.Cells)),
@@ -188,7 +183,7 @@ func (c *Controller) Due(outer int, densOv float64) bool {
 	if outer == 0 {
 		return c.opt.SnapshotOnEntry
 	}
-	return outer%c.opt.Interval == 0
+	return outer%interval == 0
 }
 
 // Snapshot takes a RUDY snapshot of pl and advances the inflation schedule.
@@ -218,10 +213,10 @@ func (c *Controller) Snapshot(ctx context.Context, pool *par.Pool, pl *netlist.P
 	}
 	copy(c.sorted, cm.Demand)
 	sort.Float64s(c.sorted)
-	qi := int(c.opt.HotQuantile * float64(len(c.sorted)-1))
+	qi := int(hotQuantile * float64(len(c.sorted)-1))
 	thr := c.sorted[qi]
-	if thr < c.opt.HotThreshold {
-		thr = c.opt.HotThreshold
+	if thr < hotThreshold {
+		thr = hotThreshold
 	}
 
 	// Cool-down: freeze once overflow stops improving. The comparison uses
@@ -257,7 +252,7 @@ func (c *Controller) Snapshot(ctx context.Context, pool *par.Pool, pl *netlist.P
 		if sev > 1 {
 			sev = 1
 		}
-		ns := c.scale[ci] * (1 + c.opt.InflateStep*sev)
+		ns := c.scale[ci] * (1 + inflateStep*sev)
 		if ns > c.opt.MaxInflate {
 			ns = c.opt.MaxInflate
 		}

@@ -52,7 +52,7 @@ func TestNewDisabledReturnsNil(t *testing.T) {
 
 func TestDueSchedule(t *testing.T) {
 	nl, _, grid := congProblem(2, 40, 50)
-	c := New(nl, grid, Options{Enable: true}) // defaults: Interval 2, MaxDensOverflow 0.35
+	c := New(nl, grid, Options{Enable: true}) // defaults: interval 2, MaxDensOverflow 0.35
 	if c.Due(0, 0.1) {
 		t.Error("outer 0 fired without SnapshotOnEntry")
 	}

@@ -33,22 +33,35 @@ const (
 	AlignSoft
 )
 
+// The defaults a solve gets for a zero Options.WLModel, MaxOuterIters or
+// InnerIters. Callers that state them (the dpplace flags, the daemon, the
+// experiments, the V-cycle) read these rather than repeat the values.
+const (
+	// DefaultWLModel is the smooth wirelength model.
+	DefaultWLModel = "wa"
+	// DefaultOuterIters bounds the λ-schedule length.
+	DefaultOuterIters = 24
+	// DefaultInnerIters bounds the conjugate-gradient iterations per λ
+	// stage.
+	DefaultInnerIters = 50
+)
+
+// overflowTarget stops the outer loop once total density overflow drops
+// below it (from the fourth λ stage on).
+const overflowTarget = 0.10
+
 // Options controls global placement.
 type Options struct {
-	// WLModel selects the smooth wirelength model: "wa" (default) or "lse".
+	// WLModel selects the smooth wirelength model: "wa" (default,
+	// DefaultWLModel) or "lse".
 	WLModel string
 	// TargetDensity is the per-bin utilization target (default 0.9).
 	TargetDensity float64
-	// GridDim forces the density grid to GridDim×GridDim bins; 0 derives it
-	// from the design size.
-	GridDim int
-	// OverflowTarget stops the outer loop once total overflow drops below
-	// it (default 0.10).
-	OverflowTarget float64
-	// MaxOuterIters bounds the λ-schedule length (default 24).
+	// MaxOuterIters bounds the λ-schedule length (default
+	// DefaultOuterIters).
 	MaxOuterIters int
 	// InnerIters bounds the conjugate-gradient iterations per λ stage
-	// (default 50).
+	// (default DefaultInnerIters).
 	InnerIters int
 	// Groups, when non-empty, turns on structure-aware mode.
 	Groups []AlignGroup
@@ -159,19 +172,16 @@ type Diagnostics struct {
 
 func (o *Options) fillDefaults() {
 	if o.WLModel == "" {
-		o.WLModel = "wa"
+		o.WLModel = DefaultWLModel
 	}
 	if o.TargetDensity <= 0 {
 		o.TargetDensity = 0.9
 	}
-	if o.OverflowTarget <= 0 {
-		o.OverflowTarget = 0.10
-	}
 	if o.MaxOuterIters <= 0 {
-		o.MaxOuterIters = 24
+		o.MaxOuterIters = DefaultOuterIters
 	}
 	if o.InnerIters <= 0 {
-		o.InnerIters = 50
+		o.InnerIters = DefaultInnerIters
 	}
 	if o.AlignWeight == 0 {
 		o.AlignWeight = 1
@@ -383,16 +393,9 @@ func newEngine(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Op
 	}
 	e.nVars = e.nx + e.ny
 
-	dim := o.GridDim
-	if dim <= 0 {
-		dim = int(math.Sqrt(float64(nl.NumMovable())/3)) + 8
-		if dim < 16 {
-			dim = 16
-		}
-		if dim > 128 {
-			dim = 128
-		}
-	}
+	// The density grid is derived from the design size: sqrt(movable/3)+8
+	// bins a side, clamped to 16..128.
+	dim := min(max(int(math.Sqrt(float64(nl.NumMovable())/3))+8, 16), 128)
 	e.grid = geom.NewGrid(core.Region, dim, dim)
 	e.pot = density.NewPotential(nl, pl, e.grid, o.TargetDensity)
 	e.cong = congestion.New(nl, e.grid, o.Congestion)
@@ -632,10 +635,11 @@ func (e *engine) updateCell(c int, v []float64) {
 }
 
 // eval computes the objective and, when grad is non-nil, the gradient at v.
-// Value-only calls (grad == nil) are what the optimizer's line-search probes
-// issue under ValueOnlyProbes; at a point refresh finds unchanged, the
-// stored wirelength and density values and gradients are reused instead of
-// recomputed.
+// The optimizer's line-search probes are value-only calls (grad == nil):
+// the engine then skips every per-pin gradient kernel and the density
+// chain-rule pass. At a point refresh finds unchanged (the accepted probe,
+// re-evaluated for its gradient), the stored wirelength and density values
+// and gradients are reused instead of recomputed.
 func (e *engine) eval(v, grad []float64) float64 {
 	e.funcEvals++
 	e.refresh(v)
@@ -871,12 +875,6 @@ func (e *engine) innerOpts(ctx context.Context, rec *obs.Recorder, outer int, st
 		GradTol:  1e-7,
 		StepInit: stepInit,
 		Ctx:      ctx,
-		// Line-search probes ask for the objective alone; the delta
-		// evaluator then skips every per-pin gradient kernel and the density
-		// chain-rule pass for them, and the accepted iterate's gradient comes
-		// mostly from stored exponentials and tables. The iterate sequence is
-		// bit-identical to fused probes (see opt.Options.ValueOnlyProbes).
-		ValueOnlyProbes: true,
 	}
 	if rec.Active() {
 		oo.Callback = func(iter int, f, gnorm float64) bool {
@@ -1079,7 +1077,7 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 			stageErr = pipeline.StageError("global", pipeline.ErrTimeout)
 			break
 		}
-		if ov < e.o.OverflowTarget && outer >= 3 {
+		if ov < overflowTarget && outer >= 3 {
 			break
 		}
 		if sinceBest >= 4 {

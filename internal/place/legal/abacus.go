@@ -38,12 +38,16 @@ func (c *cluster) pos(sr *subrow) float64 {
 	return p
 }
 
+// rowSearchSpan bounds how many rows above/below the desired row Abacus
+// examines first; the span doubles when a cell fits in none of them.
+const rowSearchSpan = 12
+
 // abacus legalizes the given cells around the existing blockages. Cells are
 // processed in increasing global-placement x, the classic Abacus order. The
 // context is polled every few hundred cells; on expiry the cells committed
 // so far are still written to legal positions and the error wraps
 // pipeline.ErrTimeout.
-func (l *legalizer) abacus(ctx context.Context, cells []netlist.CellID, rowSpan int) error {
+func (l *legalizer) abacus(ctx context.Context, cells []netlist.CellID) error {
 	nl, pl, core := l.nl, l.pl, l.core
 	rowH := core.RowH()
 
@@ -92,7 +96,7 @@ func (l *legalizer) abacus(ctx context.Context, cells []netlist.CellID, rowSpan 
 
 		bestCost := math.Inf(1)
 		var bestSr *subrow
-		span := rowSpan
+		span := rowSearchSpan
 		for bestSr == nil && span <= 4*core.NumRows() {
 			for d := 0; d <= span; d++ {
 				cands := []int{desRow - d, desRow + d}

@@ -22,10 +22,6 @@ import (
 type Options struct {
 	// Groups are placed as rigid arrays before everything else.
 	Groups []global.AlignGroup
-	// RowSearchSpan bounds how many rows above/below the desired row Abacus
-	// examines (default 12; it expands automatically when a cell does not
-	// fit).
-	RowSearchSpan int
 }
 
 // Result reports legalization quality.
@@ -48,9 +44,6 @@ func Legalize(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, opt O
 // partially legalized (cells processed so far are legal, the rest keep
 // their global positions).
 func LegalizeCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, opt Options) (Result, error) {
-	if opt.RowSearchSpan <= 0 {
-		opt.RowSearchSpan = 12
-	}
 	before := pl.Clone()
 	l := newLegalizer(nl, pl, core)
 
@@ -85,7 +78,7 @@ func LegalizeCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement
 		}
 		rest = append(rest, netlist.CellID(i))
 	}
-	if err := l.abacus(ctx, rest, opt.RowSearchSpan); err != nil {
+	if err := l.abacus(ctx, rest); err != nil {
 		return res, err
 	}
 

@@ -28,11 +28,6 @@ type Options struct {
 	// MinCells stops coarsening once a level has at most this many movable
 	// cells (default 400) — below that the flat engine is already cheap.
 	MinCells int
-	// RefineOuter bounds the λ-schedule length of the warm-started
-	// refinement solves at intermediate and finest levels (default
-	// max(8, Global.MaxOuterIters/2)). The coarsest level always gets the
-	// full Global.MaxOuterIters budget.
-	RefineOuter int
 	// Global is the base configuration every level's analytical solve
 	// derives from (density target, worker count, wirelength model, ...).
 	Global global.Options
@@ -51,16 +46,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MinCells <= 0 {
 		o.MinCells = 400
-	}
-	if o.RefineOuter <= 0 {
-		outer := o.Global.MaxOuterIters
-		if outer <= 0 {
-			outer = 24
-		}
-		o.RefineOuter = outer / 2
-		if o.RefineOuter < 8 {
-			o.RefineOuter = 8
-		}
 	}
 }
 
@@ -279,10 +264,16 @@ func levelOptions(o Options, k, top int) global.Options {
 		return gOpt
 	}
 	if top > 0 {
-		// Warm start from the interpolated positions.
+		// Warm start from the interpolated positions. The refinement solves
+		// at intermediate and finest levels get half the coarsest level's
+		// λ schedule, but at least 8 stages.
 		gOpt.SkipQuadraticInit = true
 		gOpt.Refine = true
-		gOpt.MaxOuterIters = o.RefineOuter
+		outer := gOpt.MaxOuterIters
+		if outer <= 0 {
+			outer = global.DefaultOuterIters
+		}
+		gOpt.MaxOuterIters = max(8, outer/2)
 	}
 	return gOpt
 }

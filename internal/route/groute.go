@@ -20,13 +20,17 @@ type GRouteOptions struct {
 	// routing, the rest go to power/clock/blockage — the conventional
 	// global-routing assumption).
 	CapacityFactor float64
-	// Passes is the number of rip-up-and-reroute passes after the initial
-	// routing (default 2).
-	Passes int
-	// MaxDegree skips monster nets (clock trees); they are routed on
-	// dedicated resources in practice (default 64).
-	MaxDegree int
 }
+
+// Fixed parameters of the global router.
+const (
+	// ripupPasses is the number of rip-up-and-reroute passes after the
+	// initial routing.
+	ripupPasses = 2
+	// maxRouteDegree skips monster nets (clock trees): they are routed on
+	// dedicated resources in practice.
+	maxRouteDegree = 64
+)
 
 // GRouteResult summarizes a global routing.
 type GRouteResult struct {
@@ -35,7 +39,7 @@ type GRouteResult struct {
 	MaxUsage      float64 // peak edge usage/capacity
 	OverflowEdges int     // edges above capacity
 	OverflowBins  int     // routing-grid bins touching at least one overflowed edge
-	SkippedNets   int     // nets above MaxDegree
+	SkippedNets   int     // nets above the router's degree limit (64 pins)
 	Partial       bool    // a deadline stopped routing early
 	// GridNX/GridNY record the routing-grid shape BinOverflow is indexed by.
 	GridNX, GridNY int
@@ -98,12 +102,6 @@ func globalRoute(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement
 	if opt.CapacityFactor <= 0 {
 		opt.CapacityFactor = 0.35
 	}
-	if opt.Passes <= 0 {
-		opt.Passes = 2
-	}
-	if opt.MaxDegree <= 0 {
-		opt.MaxDegree = 64
-	}
 	r := &grouter{opt: opt, grid: geom.NewGrid(region, opt.NX, opt.NY)}
 	r.hUse = make([]float64, (opt.NX-1)*opt.NY)
 	r.vUse = make([]float64, opt.NX*(opt.NY-1))
@@ -124,7 +122,7 @@ func globalRoute(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement
 		if net.Degree() < 2 {
 			continue
 		}
-		if net.Degree() > opt.MaxDegree {
+		if net.Degree() > maxRouteDegree {
 			res.SkippedNets++
 			continue
 		}
@@ -163,7 +161,7 @@ func globalRoute(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement
 	}
 
 	// Rip-up and reroute segments that touch overloaded edges.
-	for pass := 0; pass < opt.Passes && !res.Partial; pass++ {
+	for pass := 0; pass < ripupPasses && !res.Partial; pass++ {
 		if pipeline.Expired(ctx) {
 			res.Partial = true
 			break

@@ -105,7 +105,7 @@ func TestGlobalRouteSkipsMonsterNets(t *testing.T) {
 		conn = append(conn, i)
 	}
 	nl, pl := grDesign(t, locs, [][]int{conn})
-	res := GlobalRoute(nl, pl, geom.NewRect(0, 0, 100, 100), GRouteOptions{MaxDegree: 64})
+	res := GlobalRoute(nl, pl, geom.NewRect(0, 0, 100, 100), GRouteOptions{})
 	if res.SkippedNets != 1 {
 		t.Errorf("SkippedNets = %d, want 1", res.SkippedNets)
 	}

@@ -26,47 +26,13 @@ func writeSpecFile(path string, spec *JobSpec) error {
 	return nil
 }
 
-// writeJobReport assembles the dpplace-run-report/v1 document for one job
+// writeJobReport writes the dpplace-run-report/v1 document for one job
 // attempt — the same schema dpplace -report writes, so downstream tooling
 // (benchsum, the smoke driver) reads daemon results unchanged. snapshot is
 // the daemon's counter/gauge snapshot at report time (nil outside a metrics-
 // enabled daemon); it lands in the additive metrics_snapshot section.
 func writeJobReport(path, design string, mode core.Mode, res *core.Result, mrep *metrics.Report, runErr error, rec *obs.Recorder, snapshot map[string]float64) error {
-	out := &obs.RunReport{
-		Design:  design,
-		Mode:    mode.String(),
-		Exit:    pipeline.Classify(runErr),
-		Partial: res.Partial,
-		Workers: res.GlobalResult.Workers,
-		HPWL: obs.HPWLSummary{
-			Global: res.HPWLGlobal,
-			Legal:  res.HPWLLegal,
-			Final:  res.HPWLFinal,
-		},
-		StageSeconds: map[string]float64{
-			"extract":  res.Times.Extract.Seconds(),
-			"global":   res.Times.Global.Seconds(),
-			"legalize": res.Times.Legalize.Seconds(),
-			"detail":   res.Times.Detail.Seconds(),
-		},
-		Counters:        rec.Counters(),
-		Trajectory:      rec.Trajectory(),
-		DirtyNetRatio:   res.GlobalResult.DirtyNetRatio(),
-		FullRecomputes:  res.GlobalResult.FullEvals,
-		DeltaRecomputes: res.GlobalResult.DeltaEvals,
-	}
-	if res.Multilevel != nil {
-		out.Levels = res.Multilevel.Levels
-		out.ClusterRatio = res.Multilevel.ClusterRatio
-	}
-	if c := res.GlobalResult.Congestion; c != nil {
-		out.Congestion = c.Report()
-	}
-	for _, deg := range res.Degradations {
-		out.Degradations = append(out.Degradations, obs.DegradeEntry{
-			Stage: deg.Stage, Group: deg.Group, Reason: deg.Reason,
-		})
-	}
+	out := res.RunReport(design, mode, pipeline.Classify(runErr), rec)
 	if mrep != nil {
 		out.Metrics = mrep
 	}

@@ -935,14 +935,9 @@ func buildOptions(spec *JobSpec, workers, retries int) core.Options {
 			Workers:       workers,
 		},
 	}
-	if opt.Global.WLModel == "" {
-		opt.Global.WLModel = "wa"
-	}
-	if opt.Global.MaxOuterIters == 0 {
-		opt.Global.MaxOuterIters = 24
-	}
 	if opt.Global.InnerIters == 0 {
-		opt.Global.InnerIters = 50
+		// The retry damping below halves the resolved budget.
+		opt.Global.InnerIters = global.DefaultInnerIters
 	}
 	if o.Mode != "baseline" {
 		opt.Mode = core.StructureAware

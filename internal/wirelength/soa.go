@@ -1,3 +1,19 @@
+// Package wirelength provides the wirelength models used by analytical
+// placement: two smooth, differentiable approximations of the
+// half-perimeter wirelength (HPWL) — the classic log-sum-exp (LSE) model and
+// the weighted-average (WA) model of Hsu, Balabanov and Chang, which this
+// paper family introduced and prefers.
+//
+// Both models are separable per axis and are evaluated one net and one axis
+// at a time. Smaller smoothing parameter γ means a tighter approximation but
+// a harder optimization landscape; placers anneal γ downward.
+//
+// The API is a set of flat SoA kernels — WAValueAxis, WAGradAxis,
+// LSEValueAxis, LSEGradAxis, with the per-net AxisState summary — that
+// write the per-pin exponential terms into caller-owned CSR buffers, so the
+// global-placement engine can store them and later produce gradients
+// without re-exponentiating. The package tests check every kernel bit for
+// bit against a reference implementation of each model.
 package wirelength
 
 import "math"
@@ -6,9 +22,9 @@ import "math"
 
 // The SoA kernels below are the flat, allocation-free form of the LSE and WA
 // models used by the global-placement engine's incremental evaluator
-// (internal/place/global). Where the Model interface owns its scratch, these
-// kernels write into caller-owned CSR slices so one evaluation's exponential
-// terms can be kept and reused by a later gradient-only pass:
+// (internal/place/global). They write into caller-owned CSR slices so one
+// evaluation's exponential terms can be kept and reused by a later
+// gradient-only pass:
 //
 //   - AxisState is the per-net, per-axis summary a value pass produces.
 //   - WAValueAxis / LSEValueAxis fill the caller's exp scratch (ep, en) and
@@ -17,17 +33,18 @@ import "math"
 //     into per-pin gradients without a single math.Exp call.
 //
 // Every kernel is a pure function of its arguments with a fixed operation
-// order, so results are bit-identical to the corresponding Model.EvalAxis
-// and independent of worker count (NaN payloads aside: a NaN input yields a
-// NaN wherever the model's does). Two facts about the extreme pins save
-// exponentials without changing a bit. A max pin's positive term and a min
-// pin's negative term have exponent argument ±0, and math.Exp(±0) is exactly
-// 1; an infinite extreme makes that argument NaN instead, so the kernels use
-// 1+(max−max) and 1+(min−min), which are 1 or NaN accordingly. And a min
-// pin's positive term and a max pin's negative term share the argument
-// (min−max)/γ, so one math.Exp serves both. Two-pin nets with finite pins
-// (the majority in real netlists) therefore need a single exponential; the
-// wider loop computes the shared one once per net.
+// order, so results are bit-identical to the tests' reference model
+// (Model.EvalAxis in oracle_test.go) and independent of worker count (NaN
+// payloads aside: a NaN input yields a NaN wherever the model's does). Two
+// facts about the extreme pins save exponentials without changing a bit. A
+// max pin's positive term and a min pin's negative term have exponent
+// argument ±0, and math.Exp(±0) is exactly 1; an infinite extreme makes that
+// argument NaN instead, so the kernels use 1+(max−max) and 1+(min−min),
+// which are 1 or NaN accordingly. And a min pin's positive term and a max
+// pin's negative term share the argument (min−max)/γ, so one math.Exp serves
+// both. Two-pin nets with finite pins (the majority in real netlists)
+// therefore need a single exponential; the wider loop computes the shared
+// one once per net.
 
 // AxisState is the reusable per-net summary of one axis evaluation: the pin
 // extrema, the positive/negative exponential sums, and (WA only) the
@@ -45,7 +62,8 @@ type AxisState struct {
 // WAValueAxis evaluates the weighted-average model along one axis for the
 // pin coordinates xs, storing e^{(x_i−max)/γ} into ep[i] and e^{(min−x_i)/γ}
 // into en[i] (both must have len(xs) slots). It returns the axis state and
-// the axis wirelength, bit-identical to WA.EvalAxis at the same γ.
+// the axis wirelength, bit-identical to the reference WA model at the same
+// γ.
 //
 //placelint:hotpath
 func WAValueAxis(xs, ep, en []float64, gamma float64) (AxisState, float64) {
@@ -144,7 +162,7 @@ func WAGradAxis(xs, ep, en []float64, st AxisState, gamma float64, grad []float6
 // LSEValueAxis evaluates the log-sum-exp model along one axis, storing the
 // per-pin exponentials into ep/en exactly like WAValueAxis. It returns the
 // axis state (WSumP/WSumN stay zero — LSE does not need them) and the axis
-// wirelength, bit-identical to LSE.EvalAxis at the same γ.
+// wirelength, bit-identical to the reference LSE model at the same γ.
 //
 //placelint:hotpath
 func LSEValueAxis(xs, ep, en []float64, gamma float64) (AxisState, float64) {
