@@ -5,12 +5,9 @@ GO ?= go
 # refactors don't trip it.
 COVER_FLOOR ?= 78
 
-# Where `make bench` generates its design and profiles.
-BENCH_DIR ?= /tmp/dpplace-bench
-
-.PHONY: all check fmt fmt-check vet build test race fuzz-smoke cover bench \
-	bench-workers bench-kernels bench-congestion bench-smoke bench-diff \
-	docs-lint lint lint-github lint-selftest metrics-lint serve-smoke
+.PHONY: all check fmt fmt-check vet build test race fuzz-smoke cover \
+	bench-smoke bench-ab docs-lint lint lint-github lint-selftest metrics-lint \
+	serve-smoke
 
 all: check
 
@@ -88,92 +85,21 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 < f) ? 1 : 0 }' || \
 		{ echo "FAIL: coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Benchmarks plus a recorded end-to-end run: the flight recorder's run report
-# lands in BENCH_*.json (the machine-readable numbers), the full JSONL trace
-# next to it. BenchmarkRecorderDisabled pins the disabled-path cost at
-# ns-level and zero allocations.
-bench:
-	$(GO) test ./internal/obs -run '^$$' -bench 'BenchmarkRecorder' -benchmem
-	@mkdir -p $(BENCH_DIR)
-	$(GO) run ./cmd/dpgen -name bench -out $(BENCH_DIR) -seed 7 -bits 16 \
-		-units adder,regbank -random 600
-	$(GO) run ./cmd/dpplace -quiet -mode structure-aware \
-		-trace BENCH_structure_aware_trace.jsonl \
-		-report BENCH_structure_aware.json $(BENCH_DIR)/bench.aux
-	$(GO) run ./cmd/dpplace -quiet -mode baseline \
-		-report BENCH_baseline.json $(BENCH_DIR)/bench.aux
-	$(GO) run ./cmd/dpplace -quiet -multilevel \
-		-report BENCH_multilevel.json $(BENCH_DIR)/bench.aux
-	@echo "wrote BENCH_structure_aware.json, BENCH_baseline.json," \
-		"BENCH_multilevel.json and BENCH_structure_aware_trace.jsonl"
-	$(MAKE) bench-workers
-	$(MAKE) bench-kernels
-	cp BENCH_kernels_new.json BENCH_kernels.json
-	$(MAKE) bench-congestion
-	cp BENCH_congestion_new.json BENCH_congestion.json
-
-# SoA solver-kernel microbenchmarks: measure the wirelength and density
-# kernels and summarize their ns/op table to BENCH_kernels_new.json
-# (dpplace-kernel-bench/v1). `make bench` promotes it to the committed
-# BENCH_kernels.json baseline; `make bench-smoke` diffs against that
-# baseline instead, failing on a >10% kernel regression.
-bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkWAGradSoA' -benchmem \
-		./internal/wirelength | tee BENCH_kernels.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkDensitySoA' -benchmem \
-		./internal/density | tee -a BENCH_kernels.txt
-	$(GO) run ./internal/tools/benchsum -kernels BENCH_kernels.txt \
-		BENCH_kernels_new.json
-
-# Routability bench: place the bench design with the congestion feedback
-# loop on and distill the routed-overflow/HPWL numbers into
-# BENCH_congestion_new.json (dpplace-congestion-bench/v1). `make bench`
-# promotes it to the committed BENCH_congestion.json baseline;
-# `make bench-smoke` diffs against that baseline instead, failing when
-# routed overflow regressed >10% at equal-or-better HPWL.
-bench-congestion:
-	@mkdir -p $(BENCH_DIR)
-	$(GO) run ./cmd/dpgen -name bench -out $(BENCH_DIR) -seed 7 -bits 16 \
-		-units adder,regbank -random 600
-	$(GO) run ./cmd/dpplace -quiet -congestion \
-		-report $(BENCH_DIR)/BENCH_congestion_report.json $(BENCH_DIR)/bench.aux
-	$(GO) run ./internal/tools/benchsum -congestion \
-		$(BENCH_DIR)/BENCH_congestion_report.json BENCH_congestion_new.json
-
-# Worker-count sweep: place the same design at -workers 1,2,4,8, record one
-# run report each, then let benchsum fill parallel_speedup (global-stage
-# wall clock relative to the workers=1 run) into every report. Placements
-# are bit-identical across the sweep, so only the timings move.
-bench-workers:
-	@mkdir -p $(BENCH_DIR)
-	@for w in 1 2 4 8; do \
-		$(GO) run ./cmd/dpplace -quiet -workers $$w \
-			-report BENCH_workers_$$w.json $(BENCH_DIR)/bench.aux || exit 1; \
-	done
-	$(GO) run ./internal/tools/benchsum BENCH_workers_1.json BENCH_workers_2.json \
-		BENCH_workers_4.json BENCH_workers_8.json
-
 # One iteration of every benchmark: catches bit-rot in benchmark code
-# without paying for real measurements. CI runs this on every push. The
-# kernel microbenchmarks additionally run for real and gate against the
-# committed baseline (>10% ns/op regression on any kernel fails).
+# without paying for real measurements. CI runs this on every push.
 bench-smoke:
 	$(GO) test ./... -run '^$$' -bench . -benchtime=1x
-	$(MAKE) bench-kernels
-	$(GO) run ./internal/tools/benchsum -diff BENCH_kernels.json \
-		BENCH_kernels_new.json
-	$(MAKE) bench-congestion
-	$(GO) run ./internal/tools/benchsum -diff BENCH_congestion.json \
-		BENCH_congestion_new.json
 
-# Regression gate between two recorded runs: compares OLD and NEW run
-# reports (dpplace-run-report/v1, e.g. two BENCH_structure_aware.json from
-# different commits) stage by stage and fails when NEW's total stage time
-# exceeds OLD's by more than 10%.
-bench-diff:
-	@test -n "$(OLD)" -a -n "$(NEW)" || \
-		{ echo "usage: make bench-diff OLD=old.json NEW=new.json"; exit 2; }
-	$(GO) run ./internal/tools/benchsum -diff $(OLD) $(NEW)
+# Same-runner A/B speed gate: check BASE out in a temporary detached
+# worktree, then internal/tools/benchab builds the production kernel
+# microbenchmarks (wirelength, density, global router) in both trees and runs
+# them in alternating rounds. A kernel fails when its median ns/op exceeds
+# BASE's by more than BASE's interquartile range and by more than 10%.
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<git ref>"; exit 2; }
+	@tmp=$$(mktemp -d) && git worktree add --detach --quiet "$$tmp/base" "$(BASE)" || exit 2; \
+	$(GO) run ./internal/tools/benchab "$$tmp/base"; st=$$?; \
+	git worktree remove --force "$$tmp/base"; rm -rf "$$tmp"; exit $$st
 
 # Short smoke run of each native fuzz target (go allows one -fuzz per
 # invocation, so they run sequentially).

@@ -14,6 +14,9 @@
 // carries every nonzero bin of the routing grid (`routed_overflow_bins`) and
 // the text output lists the hottest ones, so the CI routability gate and the
 // EXPERIMENTS tables read congestion from this one code path.
+//
+// A -capacity that is not a finite number above 0 exits 2 before the design
+// is read.
 package main
 
 import (
@@ -43,6 +46,12 @@ func run() int {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: dpeval [flags] design.aux")
+		return 2
+	}
+	// The router would silently run a non-positive factor at its default;
+	// the negated comparison rejects NaN too.
+	if !(*capacity > 0) || math.IsInf(*capacity, 1) {
+		fmt.Fprintf(os.Stderr, "dpeval: -capacity %v out of range: must be finite and > 0\n", *capacity)
 		return 2
 	}
 

@@ -6,7 +6,8 @@
 //	dpextract [-structural-only] [-min-bits 4] [-min-stages 2] [-quiet] design.aux
 //
 // The per-group breakdown prints by default; -quiet restricts output to the
-// one-line summary.
+// one-line summary. -min-bits and -min-stages below 1 exit 2 before the
+// design is read.
 package main
 
 import (
@@ -32,6 +33,16 @@ func run() int {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: dpextract [flags] design.aux")
 		return 2
+	}
+	// Extraction would silently run a value below 1 at its default.
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"min-bits", *minBits}, {"min-stages", *minStages}} {
+		if c.v < 1 {
+			fmt.Fprintf(os.Stderr, "dpextract: -%s %d out of range: must be >= 1\n", c.name, c.v)
+			return 2
+		}
 	}
 
 	rec := obs.New()

@@ -6,12 +6,18 @@
 //	dpgen -name dp01 -out ./bench [-seed 7] [-bits 16] [-units adder,muxtree]
 //	      [-random 2000] [-pads 16] [-scramble]
 //	dpgen -suite -out ./bench     # write the whole dp01..dp08 suite
+//
+// Numbers out of range exit 2 before anything is written: -bits must lie in
+// [1, 512], -random be >= 0, -pads >= 1, and -units must name a unit unless
+// -random is positive.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"repro/internal/bookshelf"
@@ -53,10 +59,31 @@ func main() {
 			log.Fatalf("dpgen: unknown unit kind %q", u)
 		}
 	}
+	if err := checkRanges(*bits, *random, *pads, len(kinds)); err != nil {
+		fmt.Fprintf(os.Stderr, "dpgen: %v\n", err)
+		os.Exit(2)
+	}
 	write(gen.Config{
 		Name: *name, Seed: *seed, Bits: *bits, Units: kinds,
 		RandomCells: *random, Pads: *pads, Scramble: *scramble,
 	}, *out)
+}
+
+// checkRanges rejects numeric flag values outside their range, which the
+// generator would otherwise silently replace with its default, and a design
+// with no movable cell, which it cannot place in a core.
+func checkRanges(bits, random, pads, units int) error {
+	switch {
+	case bits < 1 || bits > gen.MaxBits:
+		return fmt.Errorf("-bits %d out of range: must be in [1, %d]", bits, gen.MaxBits)
+	case random < 0:
+		return fmt.Errorf("-random %d out of range: must be >= 0", random)
+	case pads < 1:
+		return fmt.Errorf("-pads %d out of range: must be >= 1", pads)
+	case units == 0 && random == 0:
+		return errors.New("-units names no unit and -random is 0: the design would have no movable cell")
+	}
+	return nil
 }
 
 func write(cfg gen.Config, dir string) {

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
-	"errors"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"repro/internal/cmdtest"
 )
 
 // TestOutOfRangeFlagsExitUsage runs the built binary with numeric flags just
@@ -18,50 +16,26 @@ func TestOutOfRangeFlagsExitUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	bin := placeBinary(t)
+	cases := []cmdtest.Case{
+		cmdtest.Flag("inflate-max", "0.5", true),
+		cmdtest.Flag("inflate-max", "1", true),
+		cmdtest.Flag("inflate-max", "NaN", true),
+		cmdtest.Flag("inflate-max", "1.01", false),
+		cmdtest.Flag("cluster-ratio", "1.5", true),
+		cmdtest.Flag("cluster-ratio", "0", true),
+		cmdtest.Flag("cluster-ratio", "1", true),
+		cmdtest.Flag("cluster-ratio", "0.5", false),
+		cmdtest.Flag("levels", "-1", true),
+		cmdtest.Flag("levels", "0", false),
+		cmdtest.Flag("outer", "-3", true),
+		cmdtest.Flag("outer", "0", false),
+		cmdtest.Flag("inner", "-1", true),
+		cmdtest.Flag("inner", "0", false),
+		cmdtest.Flag("workers", "-1", true),
+		cmdtest.Flag("workers", "0", false),
+		cmdtest.Flag("timeout", "-1s", true),
+		cmdtest.Flag("timeout", "0s", false),
+	}
 	missing := filepath.Join(t.TempDir(), "missing.aux")
-	cases := []struct {
-		flag, value string
-		reject      bool
-	}{
-		{"inflate-max", "0.5", true},
-		{"inflate-max", "1", true},
-		{"inflate-max", "NaN", true},
-		{"inflate-max", "1.01", false},
-		{"cluster-ratio", "1.5", true},
-		{"cluster-ratio", "0", true},
-		{"cluster-ratio", "1", true},
-		{"cluster-ratio", "0.5", false},
-		{"levels", "-1", true},
-		{"levels", "0", false},
-		{"outer", "-3", true},
-		{"outer", "0", false},
-		{"inner", "-1", true},
-		{"inner", "0", false},
-		{"workers", "-1", true},
-		{"workers", "0", false},
-		{"timeout", "-1s", true},
-		{"timeout", "0s", false},
-	}
-	for _, c := range cases {
-		var stderr bytes.Buffer
-		cmd := exec.Command(bin, "-quiet", "-"+c.flag, c.value, missing)
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		code := 0
-		var ee *exec.ExitError
-		if errors.As(err, &ee) {
-			code = ee.ExitCode()
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if c.reject {
-			if code != exitUsage || !strings.Contains(stderr.String(), "-"+c.flag) {
-				t.Errorf("-%s %s: exit %d, stderr %q; want exit %d naming the flag",
-					c.flag, c.value, code, stderr.String(), exitUsage)
-			}
-		} else if code == exitUsage {
-			t.Errorf("-%s %s: rejected as usage error: %s", c.flag, c.value, stderr.String())
-		}
-	}
+	cmdtest.CheckRanges(t, placeBinary(t), []string{"-quiet"}, cases, missing)
 }

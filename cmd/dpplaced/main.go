@@ -23,6 +23,10 @@
 // checkpoint their best iterate and exits 3; the next daemon instance picks
 // them back up from the journal. The HTTP surface (probes and /metrics
 // included) stays up until the drain settles.
+//
+// Numbers out of range exit 2 before the data directory is opened: -queue
+// and -max-cells must be >= 1, -job-timeout, -heartbeat and -drain-timeout
+// > 0, and -workers >= 0.
 package main
 
 import (
@@ -86,6 +90,30 @@ func registerFlags(fs *flag.FlagSet) *daemonFlags {
 	}
 }
 
+// checkRanges rejects numeric flag values outside their range, which the
+// server would otherwise replace with its default or act on as given: a
+// non-positive queue depth refuses every job, a non-positive heartbeat
+// panics the SSE handlers and a non-positive job timeout lifts the deadline.
+func checkRanges(f *daemonFlags) error {
+	for _, c := range []struct {
+		name   string
+		v, min int
+	}{{"queue", *f.queue, 1}, {"max-cells", *f.maxCells, 1}, {"workers", *f.workers, 0}} {
+		if c.v < c.min {
+			return fmt.Errorf("-%s %d out of range: must be >= %d", c.name, c.v, c.min)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		v    time.Duration
+	}{{"job-timeout", *f.jobTimeout}, {"heartbeat", *f.heartbeat}, {"drain-timeout", *f.drainTimeout}} {
+		if c.v <= 0 {
+			return fmt.Errorf("-%s %v out of range: must be > 0", c.name, c.v)
+		}
+	}
+	return nil
+}
+
 // run is main with deferred cleanup intact.
 func run() int {
 	f := registerFlags(flag.CommandLine)
@@ -93,6 +121,10 @@ func run() int {
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "usage: dpplaced [flags]\n")
 		flag.PrintDefaults()
+		return exitUsage
+	}
+	if err := checkRanges(f); err != nil {
+		fmt.Fprintf(os.Stderr, "dpplaced: %v\n", err)
 		return exitUsage
 	}
 

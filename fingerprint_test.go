@@ -53,13 +53,14 @@ func (f fingerprint) literal() string {
 		f.FuncEvals, f.GroupedCells, f.Levels, f.Snapshots, f.InflatedCells)
 }
 
-// TestPlacementFingerprint pins the placements of the `make bench` design
-// (dpgen seed 7, 16 bits, adder and register bank, 600 random cells: 911
-// cells, 895 movable) in four configurations, {structure-aware, baseline} ×
-// {flat, V-cycle with congestion feedback}, at two workers, together with
-// their evaluation. A change that only removes code or options must leave
-// every value bit-identical; the CI determinism job also runs this test with
-// the engine's helpers outnumbering processors.
+// TestPlacementFingerprint pins the placements of the bench design (dpgen
+// seed 7, 16 bits, adder and register bank, 600 random cells: 911 cells, 895
+// movable) in five configurations, {structure-aware, baseline} × {flat,
+// V-cycle with congestion feedback} plus structure-aware flat with congestion
+// feedback, at two workers, together with their evaluation. A change that
+// only removes code or options must leave every value bit-identical; the CI
+// determinism job also runs this test with the engine's helpers outnumbering
+// processors.
 func TestPlacementFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The pinned bits come from amd64, where Go compiles x*y+z to a
@@ -82,6 +83,9 @@ func TestPlacementFingerprint(t *testing.T) {
 		"baseline/vcycle+congestion": {Hash: 0x68ce1fb1c332f0ec, HPWLFinal: 42986.916666666664,
 			SteinerWL: 47633.83333333329, RoutedOvfl: 60.349999999999866, ACE5: 11.997584162194395,
 			MaxUtil: 1, FuncEvals: 955, Levels: 2, Snapshots: 4, InflatedCells: 267},
+		"structure-aware/flat+congestion": {Hash: 0xbb24d61b60fd4d0b, HPWLFinal: 45754.25,
+			SteinerWL: 48883.83333333332, RoutedOvfl: 150.05000000000015, ACE5: 12.608163623020907,
+			MaxUtil: 1, FuncEvals: 1357, GroupedCells: 288, Snapshots: 2, InflatedCells: 386},
 	}
 	bench := dpplace.Generate(dpplace.BenchConfig{
 		Name: "bench", Seed: 7, Bits: 16,
@@ -92,44 +96,54 @@ func TestPlacementFingerprint(t *testing.T) {
 		t.Fatalf("bench design has %d cells, want 911", n)
 	}
 	const workers = 2
-	for _, mode := range []dpplace.Mode{dpplace.StructureAware, dpplace.Baseline} {
-		for _, ml := range []bool{false, true} {
-			name := mode.String() + "/flat"
-			opt := dpplace.Options{Mode: mode, Global: global.Options{Workers: workers}}
-			if ml {
-				name = mode.String() + "/vcycle+congestion"
-				opt.Multilevel = true
-				opt.Global.Congestion = congestion.Options{Enable: true}
-			}
-			res, err := dpplace.PlaceCtx(context.Background(),
-				bench.Netlist, bench.Core, bench.Placement, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			rep := dpplace.Evaluate(bench.Netlist, res.Placement, bench.Core,
-				dpplace.ReportOptions{Workers: workers})
-			got := fingerprint{
-				Hash:         placementHash(res.Placement),
-				HPWLFinal:    res.HPWLFinal,
-				SteinerWL:    rep.SteinerWL,
-				RoutedOvfl:   rep.Routed.Overflow,
-				ACE5:         rep.Congestion.ACE5,
-				MaxUtil:      rep.MaxUtil,
-				FuncEvals:    res.GlobalResult.FuncEvals,
-				GroupedCells: res.GroupedCells,
-			}
-			if res.Multilevel != nil {
-				got.Levels = res.Multilevel.Levels
-			}
-			if cs := res.GlobalResult.Congestion; cs != nil {
-				got.Snapshots, got.InflatedCells = cs.Snapshots, cs.InflatedCells
-			}
-			if g, w := got.literal(), want[name].literal(); g != w {
-				t.Errorf("%s: placement fingerprint moved\n got  %s\n want %s\n"+
-					"A change meant to move placements updates these values in the same "+
-					"commit and says why in CHANGES.md; any other change must leave them bit-identical.",
-					name, g, w)
-			}
+	for _, c := range []struct {
+		mode     dpplace.Mode
+		ml, cong bool
+	}{
+		{dpplace.StructureAware, false, false},
+		{dpplace.StructureAware, true, true},
+		{dpplace.StructureAware, false, true},
+		{dpplace.Baseline, false, false},
+		{dpplace.Baseline, true, true},
+	} {
+		name := c.mode.String() + "/flat"
+		opt := dpplace.Options{Mode: c.mode, Global: global.Options{Workers: workers}}
+		if c.ml {
+			name = c.mode.String() + "/vcycle"
+			opt.Multilevel = true
+		}
+		if c.cong {
+			name += "+congestion"
+			opt.Global.Congestion = congestion.Options{Enable: true}
+		}
+		res, err := dpplace.PlaceCtx(context.Background(),
+			bench.Netlist, bench.Core, bench.Placement, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep := dpplace.Evaluate(bench.Netlist, res.Placement, bench.Core,
+			dpplace.ReportOptions{Workers: workers})
+		got := fingerprint{
+			Hash:         placementHash(res.Placement),
+			HPWLFinal:    res.HPWLFinal,
+			SteinerWL:    rep.SteinerWL,
+			RoutedOvfl:   rep.Routed.Overflow,
+			ACE5:         rep.Congestion.ACE5,
+			MaxUtil:      rep.MaxUtil,
+			FuncEvals:    res.GlobalResult.FuncEvals,
+			GroupedCells: res.GroupedCells,
+		}
+		if res.Multilevel != nil {
+			got.Levels = res.Multilevel.Levels
+		}
+		if cs := res.GlobalResult.Congestion; cs != nil {
+			got.Snapshots, got.InflatedCells = cs.Snapshots, cs.InflatedCells
+		}
+		if g, w := got.literal(), want[name].literal(); g != w {
+			t.Errorf("%s: placement fingerprint moved\n got  %s\n want %s\n"+
+				"A change meant to move placements updates these values in the same "+
+				"commit and says why in CHANGES.md; any other change must leave them bit-identical.",
+				name, g, w)
 		}
 	}
 }

@@ -10,6 +10,9 @@ import (
 	"repro/internal/netlist"
 )
 
+// MaxBits is the widest datapath dpgen and the dpplaced job spec accept.
+const MaxBits = 512
+
 // Config describes a benchmark to generate.
 type Config struct {
 	Name        string
@@ -68,7 +71,8 @@ func (b *Benchmark) DatapathFraction() float64 {
 }
 
 // Generate builds a benchmark from cfg. Generation is deterministic in
-// cfg.Seed.
+// cfg.Seed. cfg must yield a movable cell: at least one unit or RandomCells
+// > 0. Without one the core region is degenerate and Generate panics.
 func Generate(cfg Config) *Benchmark {
 	cfg.fillDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -11,8 +11,8 @@ const ReportSchema = "dpplace-run-report/v1"
 
 // RunReport is the machine-readable summary of one placement run: the final
 // quality numbers, per-stage timings, aggregated counters, degradations and
-// the λ-schedule trajectory. It is what -report writes and what the bench
-// harness stores as BENCH_*.json.
+// the λ-schedule trajectory. It is what dpplace -report writes and what the
+// daemon stores as each job's report.json.
 type RunReport struct {
 	Schema  string `json:"schema"`
 	Design  string `json:"design"`
@@ -21,12 +21,8 @@ type RunReport struct {
 	Partial bool   `json:"partial,omitempty"`
 
 	// Workers is the resolved worker count of the parallel placement engine
-	// (1 = fully serial). ParallelSpeedup is the wall-clock speedup of the
-	// global-place stage relative to a workers=1 run of the same design; it
-	// is filled by sweep harnesses (make bench) that have both timings, and
-	// is zero in single runs.
-	Workers         int     `json:"workers,omitempty"`
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
+	// (1 = fully serial).
+	Workers int `json:"workers,omitempty"`
 
 	// Incremental-evaluation effectiveness of the global-place engine.
 	// DirtyNetRatio is net recomputations over total per-net decisions

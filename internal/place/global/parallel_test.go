@@ -347,8 +347,8 @@ func TestRefreshCompletesUnderCancelledContext(t *testing.T) {
 }
 
 // BenchmarkEvalWorkers measures one full objective+gradient evaluation at
-// several worker counts (the speedup here is what `make bench` sweeps at
-// the whole-flow level).
+// several worker counts (the benchmark in bench/ reports the whole-flow
+// speedup as global.parallel_speedup).
 func BenchmarkEvalWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {

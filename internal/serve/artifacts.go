@@ -28,8 +28,8 @@ func writeSpecFile(path string, spec *JobSpec) error {
 
 // writeJobReport writes the dpplace-run-report/v1 document for one job
 // attempt — the same schema dpplace -report writes, so downstream tooling
-// (benchsum, the smoke driver) reads daemon results unchanged. snapshot is
-// the daemon's counter/gauge snapshot at report time (nil outside a metrics-
+// (the smoke driver) reads daemon results unchanged. snapshot is the
+// daemon's counter/gauge snapshot at report time (nil outside a metrics-
 // enabled daemon); it lands in the additive metrics_snapshot section.
 func writeJobReport(path, design string, mode core.Mode, res *core.Result, mrep *metrics.Report, runErr error, rec *obs.Recorder, snapshot map[string]float64) error {
 	out := res.RunReport(design, mode, pipeline.Classify(runErr), rec)

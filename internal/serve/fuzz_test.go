@@ -41,6 +41,8 @@ func fuzzDesign(f *testing.F) (nodes, nets, pl, scl string) {
 // FuzzDecodeSpec throws arbitrary bytes at the HTTP job-spec decoder: any
 // outcome is fine except a panic or a rejection that does not carry the
 // malformed-input sentinel (which would map to a 500 instead of a 400).
+// Every accepted gen spec small enough to generate quickly must also build
+// its design without panicking, as the daemon's runner will.
 func FuzzDecodeSpec(f *testing.F) {
 	nodes, nets, pl, scl := fuzzDesign(f)
 	okGen, err := json.Marshal(&JobSpec{
@@ -60,6 +62,8 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add(string(okGen))
 	f.Add(string(okAux))
 	f.Add(`{}`)
+	f.Add(`{"gen":{}}`)
+	f.Add(`{"gen":{"random_cells":1,"pads":9000000000}}`)
 	f.Add(`{"gen":{},"aux":{"nodes":"a 1 1\n","nets":"","scl":""}}`)
 	f.Add(`{"gen":{"bits":-1}}`)
 	f.Add(`{"gen":{"units":["warp-core"]}}`)
@@ -86,6 +90,11 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 		if EstimateCells(spec) < 0 {
 			t.Errorf("negative cost estimate %d", EstimateCells(spec))
+		}
+		if spec.Gen != nil && EstimateCells(spec) <= 5000 {
+			if _, err := BuildDesign(spec); err != nil {
+				t.Errorf("accepted gen spec fails to build: %v", err)
+			}
 		}
 	})
 }

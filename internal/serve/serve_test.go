@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/pipeline"
 )
 
 // fastSpec is a placement small enough to finish in tens of milliseconds.
@@ -470,6 +472,46 @@ func TestJournalReplayStates(t *testing.T) {
 	}
 	if nv.ID != "j000004" {
 		t.Errorf("next id = %s, want j000004", nv.ID)
+	}
+}
+
+// TestReplayedEmptyGenSpecFails replays submit records for gen specs that
+// yield no movable cell, journaled before validation rejected them. Each job
+// must fail as malformed input, which is not retried, and the daemon must
+// keep serving rather than panic in the generator on every restart.
+func TestReplayedEmptyGenSpecFails(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range []*GenSpec{{}, {Units: []string{""}}} {
+		id := fmt.Sprintf("j%06d", i)
+		if err := j.Append(Record{Ev: EvSubmit, Job: id, Seq: uint64(i), Spec: &JobSpec{Gen: g}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newServer(t, Config{Dir: dir, Workers: 1})
+	defer s.Close()
+	s.Start()
+	for _, id := range []string{"j000000", "j000001"} {
+		v := waitTerminal(t, s, id, 30*time.Second)
+		if v.State != StateFailed || v.Exit != pipeline.ClassMalformed || v.Attempt != 1 {
+			t.Errorf("job %s: state %s exit %q after %d attempts, want failed %q after one",
+				id, v.State, v.Exit, v.Attempt, pipeline.ClassMalformed)
+		}
+	}
+	v, err := s.Submit(fastSpec("after", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, s, v.ID, 60*time.Second); got.State != StateDone {
+		t.Fatalf("job after the failed replays ended %s (exit %q, error %q), want done",
+			got.State, got.Exit, got.Error)
 	}
 }
 

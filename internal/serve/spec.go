@@ -78,7 +78,7 @@ type GenSpec struct {
 	Units []string `json:"units,omitempty"`
 	// RandomCells is the random-logic cell count.
 	RandomCells int `json:"random_cells,omitempty"`
-	// Pads is the fixed IO pad count (default 16).
+	// Pads is the fixed IO pad count (default 16, max 10,000).
 	Pads int `json:"pads,omitempty"`
 	// Scramble strips bus indices from net names.
 	Scramble bool `json:"scramble,omitempty"`
@@ -102,9 +102,9 @@ type AuxBundle struct {
 // before admission control has had a chance to look at a cost estimate.
 const (
 	maxPriorityMagnitude = 100
-	maxGenBits           = 512
 	maxGenUnits          = 64
 	maxGenRandomCells    = 2_000_000
+	maxGenPads           = 10_000
 )
 
 // malformedf builds a spec validation error carrying the taxonomy sentinel,
@@ -168,8 +168,8 @@ func (s *JobSpec) Validate() error {
 		return malformedf("job spec: negative outer/inner/workers")
 	}
 	if g := s.Gen; g != nil {
-		if g.Bits < 0 || g.Bits > maxGenBits {
-			return malformedf("job spec: gen.bits %d outside [0, %d]", g.Bits, maxGenBits)
+		if g.Bits < 0 || g.Bits > gen.MaxBits {
+			return malformedf("job spec: gen.bits %d outside [0, %d]", g.Bits, gen.MaxBits)
 		}
 		if len(g.Units) > maxGenUnits {
 			return malformedf("job spec: %d gen units exceed the %d cap", len(g.Units), maxGenUnits)
@@ -178,11 +178,15 @@ func (s *JobSpec) Validate() error {
 			return malformedf("job spec: gen.random_cells %d outside [0, %d]",
 				g.RandomCells, maxGenRandomCells)
 		}
-		if g.Pads < 0 {
-			return malformedf("job spec: negative gen.pads")
+		if g.Pads < 0 || g.Pads > maxGenPads {
+			return malformedf("job spec: gen.pads %d outside [0, %d]", g.Pads, maxGenPads)
 		}
-		if _, err := parseUnits(g.Units); err != nil {
+		kinds, err := parseUnits(g.Units)
+		if err != nil {
 			return err
+		}
+		if len(kinds) == 0 && g.RandomCells == 0 {
+			return malformedf("job spec: gen has no movable cell: name a unit or set random_cells > 0")
 		}
 	}
 	if a := s.Aux; a != nil {
@@ -237,10 +241,15 @@ func EstimateCells(s *JobSpec) int {
 	return 0
 }
 
-// BuildDesign materializes the spec's design: deterministic generation for
-// gen specs, hardened Bookshelf parsing for aux bundles. Parse failures
-// wrap pipeline.ErrMalformedInput via the bookshelf readers.
+// BuildDesign validates the spec and materializes its design: deterministic
+// generation for gen specs, hardened Bookshelf parsing for aux bundles.
+// Validation and parse failures wrap pipeline.ErrMalformedInput. Validating
+// here too means a spec journaled before a validation rule existed fails its
+// job as malformed input on replay instead of reaching the generator.
 func BuildDesign(s *JobSpec) (*bookshelf.Design, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	name := s.Name
 	if name == "" {
 		name = "job"
