@@ -6,12 +6,11 @@ GO ?= go
 COVER_FLOOR ?= 78
 
 .PHONY: all check fmt fmt-check vet build test race fuzz-smoke cover \
-	bench-smoke bench-ab docs-lint lint lint-github lint-selftest metrics-lint \
-	serve-smoke
+	bench-smoke bench-ab docs-lint lint lint-github
 
 all: check
 
-check: fmt-check vet build docs-lint lint metrics-lint race fuzz-smoke
+check: fmt-check vet build docs-lint lint race fuzz-smoke
 
 # Documentation bar: every package carries a package-level doc comment and
 # every exported identifier is documented (internal/tools/docslint — no
@@ -20,12 +19,13 @@ docs-lint:
 	$(GO) run ./internal/tools/docslint
 
 # Determinism and concurrency bar: internal/tools/placelint rejects map-order
-# dependence, par-closure discipline violations, wall-clock/rand reach
-# (transitive, via the interprocedural facts engine), exact float comparison,
-# severed error chains, allocations on //placelint:hotpath functions,
-# impure callees inside par worker closures, and stale suppressions. The
-# tree must be clean; safe exceptions carry //placelint:ignore <check>
-# <reason>, which also clears the underlying fact for every caller.
+# dependence, par-closure discipline violations (in the closure or in any
+# function it calls), wall-clock/rand reach (transitive, via the
+# interprocedural facts engine), exact float comparison, severed error
+# chains, allocations on //placelint:hotpath functions, and stale
+# suppressions. The tree must be clean; safe exceptions carry
+# //placelint:ignore <check> <reason>, which also clears the underlying fact
+# for every caller. Its self-test on seeded testdata is TestChecksOnTestdata.
 lint:
 	$(GO) run ./internal/tools/placelint
 
@@ -34,25 +34,6 @@ lint:
 # job; locally `make lint` is friendlier.
 lint-github:
 	$(GO) run ./internal/tools/placelint -github
-
-# Metrics schema bar: the placelint metricnames check alone, run over the
-# packages that register metrics. Fails on duplicate metric registration,
-# non-snake_case names or labels, and names built at runtime. (Already part
-# of `make lint`; this target isolates the failure for CI log clarity.)
-metrics-lint:
-	$(GO) run ./internal/tools/placelint -only metricnames ./internal/serve ./internal/obs/metrics ./cmd/dpplaced
-
-# Self-test: placelint must still *catch* each violation class. Every seeded
-# testdata package has to make it exit nonzero — a linter that passes its own
-# tree but misses real hazards is worse than none.
-lint-selftest:
-	@for d in internal/tools/placelint/testdata/*/; do \
-		$(GO) run ./internal/tools/placelint $$d >/dev/null 2>&1; st=$$?; \
-		if [ $$st -ne 1 ]; then \
-			echo "FAIL: placelint on $$d exited $$st, want 1 (violations)"; exit 1; \
-		fi; \
-		echo "placelint rejects $$d (as seeded)"; \
-	done
 
 # fmt rewrites; fmt-check only reports, so CI never mutates the tree.
 fmt:
@@ -109,17 +90,3 @@ fuzz-smoke:
 	$(GO) test ./internal/bookshelf -run '^$$' -fuzz '^FuzzReadNets$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzBuildDesignAux$$' -fuzztime=10s
-
-# Daemon smoke: build dpplaced and run it through two scripted lifetimes.
-# Phase 1 places an example netlist end to end over HTTP, validates the
-# run-report (metrics_snapshot included) and placement artifacts, scrapes
-# /metrics for the core series (two idle scrapes must be byte-identical),
-# then SIGTERMs and asserts a clean drain. Phase 2 reboots on the same data
-# dir with a short -drain-timeout, SIGTERMs mid-job, and asserts /readyz
-# flips to 503 before the job finishes, /metrics serves through the drain,
-# and the forced drain exits 3.
-serve-smoke:
-	@mkdir -p /tmp/dpplaced-smoke
-	$(GO) build -o /tmp/dpplaced-smoke/dpplaced ./cmd/dpplaced
-	$(GO) run ./internal/tools/servesmoke -bin /tmp/dpplaced-smoke/dpplaced \
-		-data /tmp/dpplaced-smoke/data

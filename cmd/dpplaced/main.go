@@ -137,7 +137,6 @@ func run() int {
 		level = obs.Warn
 	}
 	rec.SetLog(os.Stderr, level)
-	rec.Collect()
 	fatal := func(format string, args ...any) int {
 		rec.Logf(obs.Error, "dpplaced", format, args...)
 		return exitError

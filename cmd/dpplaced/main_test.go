@@ -342,6 +342,98 @@ func TestDaemonForcedDrainCheckpoints(t *testing.T) {
 	d2.exitCode(t, 120*time.Second)
 }
 
+// waitIdle polls /stats until no job is queued or running and the worker
+// budget is back, so later scrapes see a settled registry.
+func waitIdle(t *testing.T, d *daemon, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		var st struct {
+			Queued       int `json:"queued"`
+			Running      int `json:"running"`
+			WorkersInUse int `json:"workers_in_use"`
+		}
+		if err := json.Unmarshal(fetch(t, d, "/stats"), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Queued == 0 && st.Running == 0 && st.WorkersInUse == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never went idle: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDaemonServesMetrics reads the built binary's /metrics, which the
+// in-process metrics tests cannot reach: after one job the registry has
+// counted it and its global stage, two idle scrapes are byte-identical and
+// the job report embeds the registry snapshot. During a SIGTERM drain with
+// a job still running, /readyz answers 503 while /metrics answers 200.
+func TestDaemonServesMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	d := startDaemon(t, t.TempDir())
+	id := postJob(t, d, midJob)
+	waitJobState(t, d, id, "done", 120*time.Second)
+	waitIdle(t, d, 30*time.Second)
+
+	text := fetch(t, d, "/metrics")
+	for _, want := range []string{
+		`dpplaced_jobs_total{state="done"} 1`,
+		`dpplace_stage_seconds_count{stage="global"} 1`,
+	} {
+		if !bytes.Contains(text, []byte(want)) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	if again := fetch(t, d, "/metrics"); !bytes.Equal(again, text) {
+		t.Error("two idle /metrics scrapes are not byte-identical")
+	}
+	var rep struct {
+		Schema string `json:"schema"`
+		Exit   string `json:"exit"`
+		HPWL   struct {
+			Final float64 `json:"final"`
+		} `json:"hpwl"`
+		MetricsSnapshot map[string]float64 `json:"metrics_snapshot"`
+	}
+	if err := json.Unmarshal(fetch(t, d, "/jobs/"+id+"/report"), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Schema != "dpplace-run-report/v1" || rep.Exit != "ok" || rep.HPWL.Final <= 0 || len(rep.MetricsSnapshot) == 0 {
+		t.Errorf("report schema=%q exit=%q hpwl.final=%v metrics_snapshot=%d entries; want dpplace-run-report/v1, ok, > 0, non-empty",
+			rep.Schema, rep.Exit, rep.HPWL.Final, len(rep.MetricsSnapshot))
+	}
+
+	grinder := postJob(t, d, slowJob)
+	waitJobState(t, d, grinder, "running", 60*time.Second)
+	d.cmd.Process.Signal(syscall.SIGTERM)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(d.url("/readyz"))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusServiceUnavailable {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("/readyz never answered 503 during the drain")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !bytes.Contains(fetch(t, d, "/metrics"), []byte("dpplaced_jobs_running 1")) {
+		t.Error("/metrics during the drain does not show the running job")
+	}
+	d.cmd.Process.Signal(syscall.SIGTERM) // force: the grinder would run for seconds more
+	if code := d.exitCode(t, 120*time.Second); code != exitForced {
+		t.Errorf("forced drain exit code = %d, want %d", code, exitForced)
+	}
+}
+
 // TestUsageExitCode: bad flags exit 2.
 func TestUsageExitCode(t *testing.T) {
 	if testing.Short() {

@@ -320,10 +320,6 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, chip *geom.Core, initial
 		gRes, err = runGlobal(opt.Global, nil)
 		res.Times.Global += sw.Elapsed()
 	}
-	if res.Multilevel != nil {
-		gSpan.Add("levels", int64(res.Multilevel.Levels))
-		gSpan.Add("coarsest_cells", int64(res.Multilevel.CoarsestCells))
-	}
 	gSpan.Add("outer_iters", int64(gRes.OuterIters))
 	gSpan.Add("func_evals", int64(gRes.FuncEvals))
 	gSpan.Add("rollbacks", int64(gRes.Diagnostics.Rollbacks))

@@ -32,13 +32,6 @@ func NewMap(grid geom.Grid) *Map {
 	return &Map{Grid: grid, Bins: make([]float64, grid.Bins())}
 }
 
-// Reset zeroes all bins.
-func (m *Map) Reset() {
-	for i := range m.Bins {
-		m.Bins[i] = 0
-	}
-}
-
 // AddRect distributes the area of r into the bins it overlaps, exactly.
 func (m *Map) AddRect(r geom.Rect) {
 	i0, i1, j0, j1 := m.Grid.Range(r)

@@ -1127,8 +1127,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 	if e.cong != nil {
 		st := e.cong.Stats()
 		res.Congestion = &st
-		rec.Add("global/congestion_snapshots", int64(st.Snapshots))
-		rec.Add("global/congestion_inflated_cells", int64(st.InflatedCells))
 	}
 	rec.Logf(obs.Debug, "global",
 		"done: %d outer iters, %d evals, HPWL %.0f, overflow %.3f, align RMS %.3f",

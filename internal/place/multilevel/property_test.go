@@ -7,7 +7,13 @@ import (
 	"repro/internal/datapath"
 	"repro/internal/gen"
 	"repro/internal/netlist"
+	"repro/internal/place/global"
 )
+
+// atomicSets is the driver's atomic cell sets for an extraction.
+func atomicSets(ext *datapath.Extraction) [][]netlist.CellID {
+	return atomicFromGroups(global.AlignGroupsFromExtraction(ext))
+}
 
 // propertyBench generates one deterministic datapath-heavy design per seed.
 func propertyBench(seed int64, random int) *gen.Benchmark {
@@ -22,7 +28,7 @@ func propertyBench(seed int64, random int) *gen.Benchmark {
 func coarsenOnce(t *testing.T, b *gen.Benchmark, ratio float64) (*datapath.Extraction, []int, *netlist.ClusterMap) {
 	t.Helper()
 	ext := datapath.Extract(b.Netlist, datapath.DefaultOptions())
-	assign := coarsen(b.Netlist, ext.AtomicSets(), nil, ratio)
+	assign := coarsen(b.Netlist, atomicSets(ext), nil, ratio)
 	cm, err := netlist.ProjectClusters(b.Netlist, assign)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +67,7 @@ func frozenMask(nl *netlist.Netlist, t *testing.T) []bool {
 	t.Helper()
 	ext := datapath.Extract(nl, datapath.DefaultOptions())
 	frozen := make([]bool, nl.NumCells())
-	for _, set := range ext.AtomicSets() {
+	for _, set := range atomicSets(ext) {
 		for _, c := range set {
 			frozen[c] = true
 		}
@@ -79,7 +85,7 @@ func TestClusteringKeepsGroupsAtomic(t *testing.T) {
 		if len(ext.Groups) == 0 {
 			t.Fatalf("seed %d: extraction found no groups", seed)
 		}
-		for gi, set := range ext.AtomicSets() {
+		for gi, set := range atomicSets(ext) {
 			k := cm.ClusterOf[set[0]]
 			for _, c := range set[1:] {
 				if cm.ClusterOf[c] != k {
@@ -140,8 +146,8 @@ func TestUnclusteringIsBijection(t *testing.T) {
 func TestCoarseningIsDeterministic(t *testing.T) {
 	b := propertyBench(7, 300)
 	ext := datapath.Extract(b.Netlist, datapath.DefaultOptions())
-	a1 := coarsen(b.Netlist, ext.AtomicSets(), nil, 0.4)
-	a2 := coarsen(b.Netlist, ext.AtomicSets(), nil, 0.4)
+	a1 := coarsen(b.Netlist, atomicSets(ext), nil, 0.4)
+	a2 := coarsen(b.Netlist, atomicSets(ext), nil, 0.4)
 	for i := range a1 {
 		if a1[i] != a2[i] {
 			t.Fatalf("assignment differs at cell %d: %d vs %d", i, a1[i], a2[i])
@@ -154,7 +160,7 @@ func TestCoarseningIsDeterministic(t *testing.T) {
 func TestCoarseningReduces(t *testing.T) {
 	b := propertyBench(3, 600)
 	ext := datapath.Extract(b.Netlist, datapath.DefaultOptions())
-	assign := coarsen(b.Netlist, ext.AtomicSets(), nil, 0.4)
+	assign := coarsen(b.Netlist, atomicSets(ext), nil, 0.4)
 	cm, err := netlist.ProjectClusters(b.Netlist, assign)
 	if err != nil {
 		t.Fatal(err)

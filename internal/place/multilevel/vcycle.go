@@ -286,8 +286,8 @@ func cascade(maps []*netlist.ClusterMap, levels []*levelState, k int) {
 	}
 }
 
-// atomicFromGroups flattens each extracted group into one atomic cell set
-// (column-major, matching datapath.Extraction.AtomicSets).
+// atomicFromGroups flattens each extracted group into one atomic cell set,
+// column-major: stage by stage, bit by bit.
 func atomicFromGroups(groups []global.AlignGroup) [][]netlist.CellID {
 	sets := make([][]netlist.CellID, 0, len(groups))
 	for _, g := range groups {

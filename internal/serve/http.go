@@ -262,7 +262,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-hb.C:
 			emit("heartbeat", heartbeat{Job: v.ID, DroppedLines: sub.Drops()})
 			s.metrics.sseHeartbeats.Inc()
-			s.log.Add("serve/heartbeats", 1)
 		case <-r.Context().Done():
 			return
 		}

@@ -177,13 +177,3 @@ func (q *jobQueue) remove(job *Job) bool {
 	}
 	return false
 }
-
-// waitClosed blocks until ch closes or ctx expires; used by SSE watchers.
-func waitClosed(ctx context.Context, ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}

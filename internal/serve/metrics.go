@@ -70,9 +70,6 @@ type serverMetrics struct {
 	stageSeconds     *obsmetrics.HistogramVec
 	degradations     *obsmetrics.Counter
 	healthEvents     *obsmetrics.CounterVec
-
-	congestionSnapshots *obsmetrics.Counter
-	congestionInflated  *obsmetrics.Counter
 }
 
 // newServerMetrics registers the daemon's metric families on reg and
@@ -118,10 +115,6 @@ func newServerMetrics(reg *obsmetrics.Registry) *serverMetrics {
 			"Graceful degradations (groups dropped to fallback placement)."),
 		healthEvents: reg.CounterVec("dpplace_health_events_total",
 			"Solver health-guard events by kind.", "kind"),
-		congestionSnapshots: reg.Counter("dpplace_congestion_snapshots_total",
-			"RUDY snapshots taken by the congestion feedback loop."),
-		congestionInflated: reg.Counter("dpplace_congestion_inflated_cells_total",
-			"Cells left inflated by the congestion feedback loop, summed over jobs."),
 	}
 	for _, v := range jobStateLabels {
 		m.jobsTotal.With(v)
@@ -166,6 +159,4 @@ func (m *serverMetrics) foldRecorder(rec *obs.Recorder) {
 	m.healthEvents.With("rollbacks").Add(c["global/rollbacks"])
 	m.healthEvents.With("re_anneals").Add(c["global/re_anneals"])
 	m.healthEvents.With("baseline_reruns").Add(c["global/baseline_reruns"])
-	m.congestionSnapshots.Add(c["global/congestion_snapshots"])
-	m.congestionInflated.Add(c["global/congestion_inflated_cells"])
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	obsmetrics "repro/internal/obs/metrics"
 )
 
@@ -99,6 +100,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// The span hook bridges each stage of the one job into the histograms.
+	for _, stage := range stageLabels {
+		if want := fmt.Sprintf(`dpplace_stage_seconds_count{stage=%q} 1`, stage); !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
 	// A completed job journals submit/start/done at minimum; the appends
 	// counter and fsync histogram must agree.
 	if !strings.Contains(text, "dpplaced_journal_fsync_seconds_count 3") &&
@@ -132,6 +139,46 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if _, ok := rep.MetricsSnapshot["dpplaced_job_duration_seconds"]; ok {
 		t.Error("snapshot must not contain histogram families")
+	}
+}
+
+// TestDegradationsReachRegistry checks the recorder-to-registry fold: a job
+// whose groups all degrade counts exactly the degradations its report lists.
+func TestDegradationsReachRegistry(t *testing.T) {
+	faultinject.Enable(1, faultinject.Spec{Site: faultinject.SiteDegenerateGroups})
+	defer faultinject.Disable()
+	reg := obsmetrics.NewRegistry()
+	s := newServer(t, Config{Workers: 1, Metrics: reg})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.Start()
+
+	v, err := s.Submit(fastSpec("degraded", 19))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if got := waitTerminal(t, s, v.ID, 60*time.Second); got.State != StateDone {
+		t.Fatalf("job ended %s (%s), want done", got.State, got.Error)
+	}
+	waitIdle(t, s, 10*time.Second)
+
+	repB, err := os.ReadFile(filepath.Join(s.JobDir(v.ID), "report.json"))
+	if err != nil {
+		t.Fatalf("report artifact: %v", err)
+	}
+	var rep struct {
+		Degradations []json.RawMessage `json:"degradations"`
+	}
+	if err := json.Unmarshal(repB, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Degradations) == 0 {
+		t.Fatal("the fault-injected job reports no degradation")
+	}
+	want := fmt.Sprintf("dpplace_degradations_total %d\n", len(rep.Degradations))
+	if text := scrape(t, ts.URL); !strings.Contains(text, want) {
+		t.Errorf("exposition has %q, want %q", grepLine(text, "dpplace_degradations_total"), want)
 	}
 }
 

@@ -48,7 +48,8 @@ type Config struct {
 	Heartbeat time.Duration
 	// MaxBody caps a request body (0 = 64 MiB).
 	MaxBody int64
-	// Log receives daemon-level logging and counters; nil logs nothing.
+	// Log receives daemon-level logging; nil logs nothing. Counts of
+	// daemon events live in Metrics.
 	Log *obs.Recorder
 	// Metrics is the fleet metrics registry served at /metrics; nil disables
 	// metrics at zero cost (every instrument becomes an inert no-op).
@@ -249,7 +250,6 @@ func (s *Server) replay(recs []Record) error {
 				return err
 			}
 			s.log.Logf(obs.Info, "serve", "job %s interrupted mid-attempt %d; requeued", j.ID, j.Attempt)
-			s.log.Add("serve/requeued", 1)
 		}
 	}
 	return nil
@@ -349,13 +349,11 @@ func (s *Server) Submit(spec *JobSpec) (View, error) {
 	}
 	if s.queue.Len() >= s.cfg.QueueDepth {
 		s.mu.Unlock()
-		s.log.Add("serve/rejected_queue_full", 1)
 		s.metrics.admissionRejects.With("queue_full").Inc()
 		return View{}, fmt.Errorf("%w: queue depth %d reached", ErrOverloaded, s.cfg.QueueDepth)
 	}
 	if cost := EstimateCells(spec); cost > s.cfg.MaxCells {
 		s.mu.Unlock()
-		s.log.Add("serve/rejected_too_large", 1)
 		s.metrics.admissionRejects.With("too_large").Inc()
 		return View{}, fmt.Errorf("%w: estimated %d cells exceed the %d cap",
 			ErrOverloaded, cost, s.cfg.MaxCells)
@@ -387,7 +385,6 @@ func (s *Server) Submit(spec *JobSpec) (View, error) {
 	s.syncGauges()
 	s.mu.Unlock()
 	signal(s.queueCh)
-	s.log.Add("serve/submitted", 1)
 	s.log.Logf(obs.Info, "serve", "job %s admitted (priority %d, ~%d cells)",
 		job.ID, spec.Priority, EstimateCells(spec))
 	return v, nil
@@ -442,7 +439,6 @@ func (s *Server) Cancel(id string) (View, error) {
 			return v, err
 		}
 	}
-	s.log.Add("serve/canceled", 1)
 	return v, nil
 }
 
@@ -708,14 +704,12 @@ func (s *Server) runAttempt(job *Job, grant int) (retry, done bool) {
 		s.metrics.jobState("queued")
 		s.metrics.jobState("requeued")
 		s.mu.Unlock()
-		s.log.Add("serve/checkpointed", 1)
 		return false, true
 
 	case result.err == nil || result.usable:
 		s.journal.Append(Record{Ev: EvDone, Job: job.ID, Attempt: attempt,
 			Exit: result.class(), HPWL: result.hpwl, Partial: result.partial})
 		s.finishJob(job, StateDone, result.class(), result)
-		s.log.Add("serve/done", 1)
 		return false, true
 
 	case pipeline.Retryable(result.err) && retries < s.cfg.MaxRetries:
@@ -730,7 +724,6 @@ func (s *Server) runAttempt(job *Job, grant int) (retry, done bool) {
 		s.metrics.jobState("queued")
 		s.mu.Unlock()
 		s.metrics.retries.With(result.class()).Inc()
-		s.log.Add("serve/retries", 1)
 		s.log.Logf(obs.Warn, "serve", "job %s attempt %d failed (%s); retrying with damped options",
 			job.ID, attempt, result.class())
 		if !s.backoff(jobCtx, nRetries) {
@@ -749,7 +742,6 @@ func (s *Server) runAttempt(job *Job, grant int) (retry, done bool) {
 		s.journal.Append(Record{Ev: EvFail, Job: job.ID, Attempt: attempt,
 			Exit: result.class(), Error: result.errString()})
 		s.finishJob(job, StateFailed, result.class(), result)
-		s.log.Add("serve/failed", 1)
 		return false, true
 	}
 }

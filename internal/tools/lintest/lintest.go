@@ -98,9 +98,14 @@ func ParseWants(t *testing.T, dir string) []Want {
 
 // Check enforces the exact two-way match between wants and got. Each finding
 // can satisfy at most one want, so duplicated diagnostics need duplicated
-// want comments and are never silently collapsed.
+// want comments and are never silently collapsed. A testdata package with no
+// want at all fails: an emptied fixture would otherwise pass by matching a
+// tool that reports nothing.
 func Check(t *testing.T, wants []Want, got []Finding) {
 	t.Helper()
+	if len(wants) == 0 {
+		t.Error("no // want comments: a testdata package must seed at least one finding")
+	}
 	claimed := make([]bool, len(got))
 	for _, w := range wants {
 		hit := false

@@ -41,7 +41,7 @@ import (
 //     itself, not just the local diagnostic: the suppression is an assertion
 //     that the invariant holds, so callers must not keep paying for it.
 //     Clock/rand sites answer to "walltime", allocation sites to "hotalloc",
-//     non-local writes to "parpurity".
+//     non-local writes to "pardiscipline".
 //   - External (non-module) functions come from a knowledge table: math,
 //     math/bits, sync/atomic and context are allocation-free; time and
 //     math/rand carry their obvious facts; fmt allocates; anything else is
@@ -220,7 +220,7 @@ func (s *scanner) addFact(kind string, pos token.Pos, reason string) {
 	case "alloc":
 		check = "hotalloc"
 	case "write":
-		check = "parpurity"
+		check = "pardiscipline"
 	}
 	if d := s.lp.ignoreAt(position.Filename, position.Line, check); d != nil {
 		s.db.usedIgnores[d] = true
@@ -475,7 +475,7 @@ func (s *scanner) scanAssign(as *ast.AssignStmt) {
 // checkNonLocalWrite records a write whose root is a package-level
 // variable. Writes through parameters and receivers are the caller's
 // business (it handed the memory over); writes to globals are what the
-// parpurity contract forbids inside par worker call trees.
+// pardiscipline contract forbids inside par worker call trees.
 func (s *scanner) checkNonLocalWrite(lhs ast.Expr) {
 	root := lhs
 unwrap:

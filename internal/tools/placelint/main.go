@@ -11,11 +11,12 @@
 // (readsClock, readsRand, mayAllocate, writesNonLocal) propagated bottom-up
 // over the strongly-connected components of the cross-package call graph,
 // so the determinism contracts hold transitively, not just at the surface
-// syntax. Nine checks ship today, one file each:
+// syntax. Eight checks ship today, one file each:
 //
 //	maporder       for-range over a map outside the collect-then-sort idiom
 //	pardiscipline  writes escaping the worker-owned slot inside closures
-//	               passed to internal/par (the compute-then-reduce rule)
+//	               passed to internal/par (the compute-then-reduce rule),
+//	               in the closure's body or through any function it calls
 //	walltime       time.Now / time.Since / time.Until / math/rand reachable
 //	               — directly or through any call chain — outside the owner
 //	               packages (internal/obs for the clock; internal/gen and
@@ -29,9 +30,6 @@
 //	               duplicate within the package
 //	hotalloc       allocations reachable from a //placelint:hotpath
 //	               function (the DESIGN.md §14 zero-alloc kernel contract)
-//	parpurity      functions called from par worker closures that
-//	               transitively write non-worker-owned state or consult
-//	               the clock / math/rand
 //	unusedignore   suppression directives that no longer suppress anything
 //
 // A true finding that is nevertheless safe is suppressed in place with
@@ -47,22 +45,21 @@
 //
 // Usage:
 //
-//	go run ./internal/tools/placelint [-only check[,check...]] [-json] [-github] [dir ...]
+//	go run ./internal/tools/placelint [-github] [dir ...]
 //
-// With no arguments it lints the whole module ("."). -only restricts the
-// run to the named checks (e.g. `-only metricnames` for the metrics-schema
-// gate). -json emits placelint-diagnostics/v1 JSON on stdout for tooling;
-// -github emits GitHub Actions ::error workflow commands on stdout so
-// findings annotate the offending lines of a pull request. Test files and
-// testdata directories are exempt. Exit status: 0 clean, 1 violations,
-// 2 operational failure (parse or type-check error).
+// With no arguments it lints the whole module ("."). -github emits GitHub
+// Actions ::error workflow commands on stdout so findings annotate the
+// offending lines of a pull request. Test files and testdata directories
+// are exempt. Exit status: 0 clean, 1 violations, 2 operational failure
+// (bad flag, unreadable directory, parse or type-check error).
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -71,30 +68,36 @@ import (
 )
 
 func main() {
-	onlyFlag := flag.String("only", "", "comma-separated subset of checks to run")
-	jsonFlag := flag.Bool("json", false, "emit placelint-diagnostics/v1 JSON on stdout")
-	githubFlag := flag.Bool("github", false, "emit GitHub Actions ::error annotations on stdout")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var only []string
-	if *onlyFlag != "" {
-		only = strings.Split(*onlyFlag, ",")
-		for _, c := range only {
-			if !knownCheck(c) {
-				fatalf("-only names unknown check %q", c)
-			}
+// run lints the directories named in args and returns the exit status: 0
+// clean, 1 violations, 2 when the linter could not run, so CI can tell "tree
+// is dirty" from "linter broke".
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("placelint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	github := flags.Bool("github", false, "emit GitHub Actions ::error annotations on stdout")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
-	roots := flag.Args()
+	roots := flags.Args()
 	if len(roots) == 0 {
 		roots = []string{"."}
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "placelint: %v\n", err)
+		return 2
 	}
 	var dirs []string
 	seen := map[string]bool{}
 	for _, root := range roots {
 		ds, err := collectDirs(root)
 		if err != nil {
-			fatalf("%v", err)
+			return fail(err)
 		}
 		for _, d := range ds {
 			if abs, err := filepath.Abs(d); err == nil && !seen[abs] {
@@ -104,26 +107,23 @@ func main() {
 		}
 	}
 	fset := token.NewFileSet()
-	all, err := lintPackages(fset, dirs, only)
+	all, err := lintPackages(fset, dirs, nil)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 	sortFindings(all)
-	switch {
-	case *jsonFlag:
-		writeJSON(os.Stdout, all)
-	case *githubFlag:
-		writeGitHub(os.Stdout, all)
+	if *github {
+		writeGitHub(stdout, all)
 	}
 	if len(all) == 0 {
-		return
+		return 0
 	}
 	for _, f := range all {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: [%s] %s\n",
+		fmt.Fprintf(stderr, "%s:%d:%d: [%s] %s\n",
 			f.pos.Filename, f.pos.Line, f.pos.Column, f.check, f.msg)
 	}
-	fmt.Fprintf(os.Stderr, "placelint: %d violation(s)\n", len(all))
-	os.Exit(1)
+	fmt.Fprintf(stderr, "placelint: %d violation(s)\n", len(all))
+	return 1
 }
 
 // lintPackages loads every target directory through the module loader,
@@ -150,13 +150,6 @@ func lintPackages(fset *token.FileSet, dirs []string, only []string) ([]finding,
 		all = append(all, p.findings...)
 	}
 	return all, nil
-}
-
-// fatalf reports an operational failure (not a lint violation) and exits 2,
-// so CI can distinguish "tree is dirty" from "linter could not run".
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "placelint: "+format+"\n", args...)
-	os.Exit(2)
 }
 
 // collectDirs walks root and returns, sorted, every directory holding at
@@ -211,42 +204,9 @@ func sortFindings(fs []finding) {
 	})
 }
 
-// jsonDiagnostic is one finding in the placelint-diagnostics/v1 format.
-type jsonDiagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-// jsonReport is the envelope of -json output: versioned so downstream
-// tooling can detect format drift, mirroring dpplace-run-report/v1.
-type jsonReport struct {
-	Format   string           `json:"format"`
-	Findings []jsonDiagnostic `json:"findings"`
-	Count    int              `json:"count"`
-}
-
-// writeJSON emits the findings as one placelint-diagnostics/v1 document.
-func writeJSON(w *os.File, fs []finding) {
-	rep := jsonReport{Format: "placelint-diagnostics/v1", Findings: []jsonDiagnostic{}, Count: len(fs)}
-	for _, f := range fs {
-		rep.Findings = append(rep.Findings, jsonDiagnostic{
-			File: filepath.ToSlash(f.pos.Filename), Line: f.pos.Line,
-			Column: f.pos.Column, Check: f.check, Message: f.msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fatalf("encode: %v", err)
-	}
-}
-
 // writeGitHub emits one ::error workflow command per finding, which GitHub
 // Actions renders as an inline annotation on the offending line of the PR.
-func writeGitHub(w *os.File, fs []finding) {
+func writeGitHub(w io.Writer, fs []finding) {
 	for _, f := range fs {
 		fmt.Fprintf(w, "::error file=%s,line=%d,col=%d,title=placelint/%s::%s\n",
 			filepath.ToSlash(f.pos.Filename), f.pos.Line, f.pos.Column,

@@ -26,9 +26,17 @@ import (
 //   - delete on a captured map, copy into a captured slice not sliced by a
 //     closure-local bound.
 //
+// The rule holds through call frames too: a function the closure calls by
+// static call must not transitively write a package-level variable, since a
+// shared accumulator two frames down races and schedule-orders exactly like
+// an inline one. Writes through the callee's own parameters and receivers
+// stay legal — that is how workers fill their owned slots. Function values
+// and interface methods are not followed.
+//
 // Reductions belong after the pool call, serially, in index order. A write
 // that is provably safe anyway (e.g. idempotent same-value stores) carries
-// //placelint:ignore pardiscipline <reason>.
+// //placelint:ignore pardiscipline <reason>; on a callee's write it clears
+// the fact for every worker path that reaches it.
 func checkParDiscipline(p *pass) {
 	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -86,6 +94,7 @@ func (p *pass) checkParClosure(lit *ast.FuncLit) {
 			p.checkParWrite(s.X, locals)
 		case *ast.CallExpr:
 			p.checkParBuiltin(s, locals)
+			p.checkParCallee(s)
 		}
 		return true
 	})
@@ -150,6 +159,41 @@ unwrap:
 		p.reportf(lhs.Pos(), "pardiscipline",
 			"write into captured %s at an index not derived from the closure's range: the slot is shared across workers; index by the worker's own lo..hi range or slot", id.Name)
 	}
+}
+
+// checkParCallee reports a static callee whose fact summary writes a
+// package-level variable.
+func (p *pass) checkParCallee(call *ast.CallExpr) {
+	fn := staticCallee(p.info, call)
+	if fn == nil {
+		return
+	}
+	if ff := p.db.factsFor(fn); ff != nil && ff.write != nil {
+		p.reportf(call.Pos(), "pardiscipline",
+			"%s is called from a par worker closure but transitively writes non-worker-owned state: %s; compute into owned slots and reduce after the pool call", funcLabel(fn), ff.write.describe())
+	}
+}
+
+// staticCallee resolves the statically-known callee of call: a named
+// function or a method on a concrete receiver. Function values and
+// interface methods return nil (dynamic dispatch).
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = info.Uses[fun.Sel]
+	}
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil &&
+		types.IsInterface(sig.Recv().Type()) {
+		return nil
+	}
+	return fn
 }
 
 // checkParBuiltin flags the mutating builtins: delete on a captured map and

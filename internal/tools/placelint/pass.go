@@ -13,7 +13,7 @@ import (
 )
 
 // checks registers every analysis in the order they run. One check, one
-// file, one invariant — adding a tenth check is a new entry here plus a
+// file, one invariant — adding a ninth check is a new entry here plus a
 // new file with a checkXxx(*pass) function and a testdata package.
 // unusedignore must stay last: it audits which suppressions the earlier
 // checks (and the facts engine) actually consumed.
@@ -28,7 +28,6 @@ var checks = []struct {
 	{"errwrap", checkErrWrap},
 	{"metricnames", checkMetricNames},
 	{"hotalloc", checkHotAlloc},
-	{"parpurity", checkParPurity},
 	{"unusedignore", checkUnusedIgnore},
 }
 
@@ -53,7 +52,7 @@ type finding struct {
 // ignoreDirective is one parsed //placelint:ignore comment. A directive
 // suppresses findings of its check on its own line and on the line directly
 // below it (i.e. it may trail the flagged code or lead it as a comment).
-// For the fact-backed checks (walltime, hotalloc, parpurity) a directive
+// For the fact-backed checks (walltime, hotalloc, pardiscipline) a directive
 // does more than silence a message: it clears the underlying fact at its
 // source, so callers of the suppressed code stay clean too.
 type ignoreDirective struct {
@@ -124,11 +123,6 @@ func (p *pass) reportf(pos token.Pos, check, format string, args ...any) {
 		return
 	}
 	p.findings = append(p.findings, finding{position, check, fmt.Sprintf(format, args...)})
-}
-
-// fileName returns the path of f as recorded in the file set.
-func (p *pass) fileName(f *ast.File) string {
-	return p.fset.Position(f.Pos()).Filename
 }
 
 // eachFunc visits every function declaration of the package together with

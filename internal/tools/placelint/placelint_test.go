@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"go/token"
 	"path/filepath"
 	"testing"
@@ -25,7 +26,9 @@ func TestChecksOnTestdata(t *testing.T) {
 		{"errwrap", []string{"errwrap"}},
 		{"metricnames", []string{"metricnames"}},
 		{"hotalloc", []string{"hotalloc"}},
-		{"parpurity", []string{"parpurity"}},
+		// The callee half of the par-worker contract: pardiscipline owns
+		// the writes, walltime the clock and rand reads.
+		{"parpurity", []string{"pardiscipline", "walltime"}},
 		// The audit needs its subject checks in the run set: it only judges
 		// directives whose check had the chance to consume them.
 		{"unusedignore", []string{"floateq", "walltime", "unusedignore"}},
@@ -73,5 +76,27 @@ func TestTreeIsClean(t *testing.T) {
 	}
 	for _, f := range got {
 		t.Errorf("%s:%d: [%s] %s", f.pos.Filename, f.pos.Line, f.check, f.msg)
+	}
+}
+
+// TestRunExitStatus pins the exit contract CI reads: 1 when a package has
+// findings, 0 when it is clean, 2 when the linter cannot run.
+func TestRunExitStatus(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"findings", []string{filepath.Join("testdata", "floateq")}, 1},
+		{"clean", []string{filepath.Join("..", "..", "par")}, 0},
+		{"missing directory", []string{filepath.Join("testdata", "no-such-dir")}, 2},
+		{"unknown flag", []string{"-no-such-flag"}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run(tc.args, &stdout, &stderr); got != tc.want {
+				t.Errorf("run(%q) = %d, want %d\n%s", tc.args, got, tc.want, stderr.String())
+			}
+		})
 	}
 }

@@ -2,7 +2,9 @@
 // handed to the internal/par pool, writes must land in worker-owned slots.
 // Shared accumulators, map writes, and fixed-index slice writes are flagged;
 // slots indexed by the closure's own range (or the shard index) are exempt,
-// as is the serial reduction after the pool call returns.
+// as is the serial reduction after the pool call returns. The rule follows
+// static calls (testdata/parpurity seeds that half); an ignore at a callee's
+// write clears the callee's fact, so its call site stays clean.
 package pardiscipline
 
 import (
@@ -10,6 +12,13 @@ import (
 
 	"repro/internal/par"
 )
+
+var warmed bool
+
+// warm stores one flag every worker sets to the same value.
+func warm() {
+	warmed = true //placelint:ignore pardiscipline idempotent same-value store; every worker writes true
+}
 
 func violations(ctx context.Context, pool *par.Pool, xs []float64) float64 {
 	total := 0.0
@@ -23,6 +32,7 @@ func violations(ctx context.Context, pool *par.Pool, xs []float64) float64 {
 			delete(counts, i) // want "delete on captured map counts"
 		}
 		copy(out, xs) // want "copy into captured out inside a par closure"
+		warm()        // exempt: the ignore clears warm's write fact at its source
 	})
 	return total
 }

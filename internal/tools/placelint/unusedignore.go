@@ -12,8 +12,8 @@ import "fmt"
 //
 // It runs last in the registry, after every other check of the run has had
 // the chance to consume directives, and judges only directives whose check
-// actually ran (-only runs cannot know whether an out-of-set directive is
-// live). Findings are recorded directly, not through reportf: a
+// actually ran (a run restricted to some checks cannot know whether an
+// out-of-set directive is live). Findings are recorded directly, not through reportf: a
 // suppression of the suppression audit would be self-defeating.
 func checkUnusedIgnore(p *pass) {
 	for _, d := range p.lp.ignoreList {
