@@ -12,11 +12,21 @@ all: check
 
 check: fmt-check vet build docs-lint lint race fuzz-smoke
 
+# Tools run as binaries built into a temporary directory, which is removed on
+# every path, so make reports each tool's own exit status (1: findings, 2:
+# could not run, as internal/tools/README.md documents) in its "Error N"
+# line; `go run` reports any failure as 1. A failed build is status 2.
+define tool
+tmp=$$(mktemp -d) || exit 2; trap 'rm -rf "$$tmp"' EXIT; \
+$(GO) build -o "$$tmp/$(1)" ./internal/tools/$(1) || exit 2; \
+"$$tmp/$(1)"
+endef
+
 # Documentation bar: every package carries a package-level doc comment and
 # every exported identifier is documented (internal/tools/docslint — no
 # external linter dependency).
 docs-lint:
-	$(GO) run ./internal/tools/docslint
+	@$(call tool,docslint)
 
 # Determinism and concurrency bar: internal/tools/placelint rejects map-order
 # dependence, par-closure discipline violations (in the closure or in any
@@ -27,13 +37,13 @@ docs-lint:
 # //placelint:ignore <check> <reason>, which also clears the underlying fact
 # for every caller. Its self-test on seeded testdata is TestChecksOnTestdata.
 lint:
-	$(GO) run ./internal/tools/placelint
+	@$(call tool,placelint)
 
 # Same gate, but emitting GitHub Actions ::error workflow commands so each
 # finding annotates its line inline on the pull request. Used by the CI lint
 # job; locally `make lint` is friendlier.
 lint-github:
-	$(GO) run ./internal/tools/placelint -github
+	@$(call tool,placelint) -github
 
 # fmt rewrites; fmt-check only reports, so CI never mutates the tree.
 fmt:
@@ -72,15 +82,18 @@ bench-smoke:
 	$(GO) test ./... -run '^$$' -bench . -benchtime=1x
 
 # Same-runner A/B speed gate: check BASE out in a temporary detached
-# worktree, then internal/tools/benchab builds the production kernel
+# worktree (removed on every path, as is the benchab binary built beside
+# it), then internal/tools/benchab builds the production kernel
 # microbenchmarks (wirelength, density, global router) in both trees and runs
 # them in alternating rounds. A kernel fails when its median ns/op exceeds
 # BASE's by more than BASE's interquartile range and by more than 10%.
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<git ref>"; exit 2; }
-	@tmp=$$(mktemp -d) && git worktree add --detach --quiet "$$tmp/base" "$(BASE)" || exit 2; \
-	$(GO) run ./internal/tools/benchab "$$tmp/base"; st=$$?; \
-	git worktree remove --force "$$tmp/base"; rm -rf "$$tmp"; exit $$st
+	@tmp=$$(mktemp -d) || exit 2; \
+	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach --quiet "$$tmp/base" "$(BASE)" || exit 2; \
+	$(GO) build -o "$$tmp/benchab" ./internal/tools/benchab || exit 2; \
+	"$$tmp/benchab" "$$tmp/base"
 
 # Short smoke run of each native fuzz target (go allows one -fuzz per
 # invocation, so they run sequentially).

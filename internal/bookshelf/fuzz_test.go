@@ -46,10 +46,26 @@ func FuzzReadNodes(f *testing.F) {
 	f.Add("a 2 Inf\n")
 	f.Add("a -2 10\n")
 	f.Add("NumNodes : -5\n")
+	for _, s := range oracleInputs {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data string) {
 		nl := netlist.New("fuzz")
+		err := ReadNodes(strings.NewReader(data), nl)
+		// The previous reader, kept as the oracle, must reach the same verdict
+		// and design.
+		ref := netlist.New("fuzz")
+		refErr := refReadNodes(strings.NewReader(data), ref)
+		if d := diffOutcome(err, refErr); d != "" {
+			t.Fatal(d)
+		}
+		if err == nil {
+			if d := diffNetlist(nl, ref); d != "" {
+				t.Fatalf("differs from the oracle: %s", d)
+			}
+		}
 		// Any outcome is fine except a panic or an unclassified error.
-		if err := ReadNodes(strings.NewReader(data), nl); err != nil {
+		if err != nil {
 			if !errors.Is(err, ErrMalformedInput) {
 				t.Errorf("error not wrapping ErrMalformedInput: %v", err)
 			}
@@ -76,9 +92,25 @@ func FuzzReadNets(f *testing.F) {
 	f.Add("NetDegree : -1 n\n")
 	f.Add("a O : 0 0\n")
 	f.Add("NetDegree : 2 n\na O : NaN 0\nb I : 0 0\n")
+	for _, s := range oracleInputs {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data string) {
 		nl := seedCells(t)
-		if err := ReadNets(strings.NewReader(data), nl); err != nil {
+		err := ReadNets(strings.NewReader(data), nl)
+		// The previous reader, kept as the oracle, must reach the same verdict
+		// and design.
+		ref := seedCells(t)
+		refErr := refReadNets(strings.NewReader(data), ref)
+		if d := diffOutcome(err, refErr); d != "" {
+			t.Fatal(d)
+		}
+		if err == nil {
+			if d := diffNetlist(nl, ref); d != "" {
+				t.Fatalf("differs from the oracle: %s", d)
+			}
+		}
+		if err != nil {
 			if !errors.Is(err, ErrMalformedInput) {
 				t.Errorf("error not wrapping ErrMalformedInput: %v", err)
 			}
@@ -135,7 +167,19 @@ func FuzzReadAux(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(td, "f.aux"), []byte(auxText), 0o644); err != nil {
 			t.Skip()
 		}
-		if _, err := ReadAux(filepath.Join(td, "f.aux")); err != nil {
+		d, err := ReadAux(filepath.Join(td, "f.aux"))
+		// The previous reader, kept as the oracle, must reach the same verdict
+		// and design.
+		ref, refErr := refReadAux(filepath.Join(td, "f.aux"))
+		if diff := diffOutcome(err, refErr); diff != "" {
+			t.Fatal(diff)
+		}
+		if err == nil {
+			if diff := diffDesign(d, ref); diff != "" {
+				t.Fatalf("differs from the oracle: %s", diff)
+			}
+		}
+		if err != nil {
 			if !errors.Is(err, ErrMalformedInput) && !os.IsNotExist(errors.Unwrap(err)) {
 				// I/O errors are acceptable; anything format-related must
 				// carry the sentinel.

@@ -10,11 +10,22 @@
 // Readers are hardened against hostile input: declared header counts are
 // capped against the bytes actually available before any allocation, sizes
 // and coordinates must be finite, and every format violation wraps
-// ErrMalformedInput so callers can classify with errors.Is.
+// ErrMalformedInput so callers can classify with errors.Is. The fuzz
+// targets check that property and are differential, like
+// TestWritersMatchOracle: the previous reader and writer, kept verbatim in
+// read_ref_test.go and write_ref_test.go, must return the same verdicts
+// and designs and write the same bytes.
+//
+// Readers and writers spend no fmt call and no allocation per line beyond
+// what a netlist keeps (names and pin lists); only the .scl reader, with a
+// few values per row, reads them with fmt.Sscan. Writers refuse, before
+// writing anything, a name the reader of their section would split,
+// truncate, skip or take for a header.
 package bookshelf
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -23,6 +34,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/faultinject"
 	"repro/internal/geom"
@@ -174,12 +187,40 @@ func scanErr(err error) error {
 	return err
 }
 
+// maxLine is the longest line the readers accept.
+const maxLine = 16 * 1024 * 1024
+
+// Byte classes for split: part of a field, a separator, or the start of a
+// non-ASCII rune, which split decodes to classify.
+const (
+	inField = iota
+	isSep
+	isWide
+)
+
+// fieldClass classifies bytes as strings.Fields does; pinClass also makes
+// ':' a separator.
+var fieldClass, pinClass = func() (f, p [256]uint8) {
+	for c := utf8.RuneSelf; c < len(f); c++ {
+		f[c] = isWide
+	}
+	for _, c := range "\t\n\v\f\r " {
+		f[c] = isSep
+	}
+	p = f
+	p[':'] = isSep
+	return f, p
+}()
+
 // lineScanner yields non-empty, comment-stripped lines with their numbers.
+// A line and its fields alias the scanner's buffer: they hold until the
+// next call to next, and a name kept past it must be copied.
 type lineScanner struct {
-	sc   *bufio.Scanner
-	line string
-	num  int
-	size int64 // stream size at construction, or -1 when unknown
+	sc     *bufio.Scanner
+	line   []byte
+	fields [][]byte // reused by split
+	num    int
+	size   int64 // stream size at construction, or -1 when unknown
 }
 
 func newLineScanner(r io.Reader) *lineScanner {
@@ -191,19 +232,20 @@ func newLineScanner(r io.Reader) *lineScanner {
 		size = int64(v.Len())
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	// The buffer doubles from 64 KiB as long lines need it, up to maxLine.
+	sc.Buffer(make([]byte, 64*1024), maxLine)
 	return &lineScanner{sc: sc, size: size}
 }
 
 func (ls *lineScanner) next() bool {
 	for ls.sc.Scan() {
 		ls.num++
-		line := ls.sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
+		line := ls.sc.Bytes()
+		if i := bytes.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "UCLA") {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || hasPrefix(line, "UCLA") {
 			continue
 		}
 		ls.line = line
@@ -214,21 +256,63 @@ func (ls *lineScanner) next() bool {
 
 func (ls *lineScanner) err() error { return scanErr(ls.sc.Err()) }
 
+// split returns the fields of s exactly as strings.Fields splits them, and
+// with colon set also splits on ':' (pin lines: "cell I : dx dy"). A
+// non-ASCII byte starts a rune, decoded as strings.Fields decodes it: a
+// byte of invalid UTF-8 is one rune that is not space. The result reuses
+// one slice from line to line.
+func (ls *lineScanner) split(s []byte, colon bool) [][]byte {
+	class := &fieldClass
+	if colon {
+		class = &pinClass
+	}
+	f := ls.fields[:0]
+	start := -1
+	for i := 0; i < len(s); {
+		k, size := class[s[i]], 1
+		if k == isWide {
+			var r rune
+			r, size = utf8.DecodeRune(s[i:])
+			if k = inField; unicode.IsSpace(r) {
+				k = isSep
+			}
+		}
+		if k == isSep && start >= 0 {
+			f = append(f, s[start:i])
+			start = -1
+		} else if k != isSep && start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		f = append(f, s[start:])
+	}
+	ls.fields = f
+	return f
+}
+
+// hasPrefix reports whether line starts with key, without allocating.
+func hasPrefix(line []byte, key string) bool {
+	return len(line) >= len(key) && string(line[:len(key)]) == key
+}
+
 // headerValue parses "Key : value" lines, returning ok=false when the line
 // does not start with key.
-func headerValue(line, key string) (string, bool) {
-	if !strings.HasPrefix(line, key) {
-		return "", false
+func headerValue(line []byte, key string) ([]byte, bool) {
+	if !hasPrefix(line, key) {
+		return nil, false
 	}
-	rest := strings.TrimPrefix(line, key)
-	rest = strings.TrimSpace(rest)
-	rest = strings.TrimPrefix(rest, ":")
-	return strings.TrimSpace(rest), true
+	rest := bytes.TrimSpace(line[len(key):])
+	if len(rest) > 0 && rest[0] == ':' {
+		rest = rest[1:]
+	}
+	return bytes.TrimSpace(rest), true
 }
 
 // headerCount parses a declared count header, rejecting negatives.
-func headerCount(num int, key, v string) (int, error) {
-	n, err := strconv.Atoi(v)
+func headerCount(num int, key string, v []byte) (int, error) {
+	n, err := strconv.Atoi(string(v))
 	if err != nil || n < 0 {
 		return 0, malf(num, "bad %s %q", key, v)
 	}
@@ -237,9 +321,10 @@ func headerCount(num int, key, v string) (int, error) {
 
 // capCount bounds a declared record count by the bytes actually available
 // (at minBytes per record), so a hostile header cannot force a huge
-// allocation. With an unknown stream size a fixed cap applies.
+// allocation. With an unknown stream size a fixed cap applies; a larger
+// design then grows its slices and indexes as it loads.
 func capCount(declared int, size int64, minBytes int64) int {
-	const fallback = 1 << 20
+	const fallback = 1 << 16
 	if declared <= 0 {
 		return 0
 	}
@@ -257,6 +342,21 @@ func capCount(declared int, size int64, minBytes int64) int {
 func finiteSize(v float64) bool {
 	return v > 0 && !math.IsInf(v, 0)
 }
+
+// parseFloat is strconv.ParseFloat on a field, without allocating for the
+// short fields numbers are: ParseFloat keeps no reference to its argument.
+func parseFloat(f []byte) (float64, error) {
+	return strconv.ParseFloat(string(f), 64)
+}
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+var (
+	terminalTag = []byte("terminal")
+	fixedTag    = []byte("/FIXED")
+	numSitesKey = []byte("NumSites")
+)
 
 // ReadNodes parses a .nodes stream into nl.
 func ReadNodes(r io.Reader, nl *netlist.Netlist) error {
@@ -280,27 +380,27 @@ func ReadNodes(r io.Reader, nl *netlist.Netlist) error {
 			}
 			continue
 		}
-		fields := strings.Fields(ls.line)
+		fields := ls.split(ls.line, false)
 		if len(fields) < 3 {
 			return malf(ls.num, "malformed node %q", ls.line)
 		}
-		w, err := strconv.ParseFloat(fields[1], 64)
+		w, err := parseFloat(fields[1])
 		if err != nil {
 			return malf(ls.num, "bad width %q", fields[1])
 		}
-		h, err := strconv.ParseFloat(fields[2], 64)
+		h, err := parseFloat(fields[2])
 		if err != nil {
 			return malf(ls.num, "bad height %q", fields[2])
 		}
 		if !finiteSize(w) || !finiteSize(h) {
 			return malf(ls.num, "node %q has invalid size %gx%g", fields[0], w, h)
 		}
-		fixed := len(fields) > 3 && strings.EqualFold(fields[3], "terminal")
+		fixed := len(fields) > 3 && bytes.EqualFold(fields[3], terminalTag)
 		typ := "STD"
 		if fixed {
 			typ = "TERM"
 		}
-		if _, err := nl.AddCell(fields[0], typ, w, h, fixed); err != nil {
+		if _, err := nl.AddCell(string(fields[0]), typ, w, h, fixed); err != nil {
 			return malf(ls.num, "%s", err)
 		}
 	}
@@ -314,15 +414,34 @@ func ReadNodes(r io.Reader, nl *netlist.Netlist) error {
 	return nil
 }
 
+// pinDir reads a pin line's direction field as strings.ToUpper would see
+// it: "I" is an input, "O" an output, anything else inout.
+func pinDir(f []byte) netlist.Dir {
+	r, size := rune(f[0]), 1
+	if r >= utf8.RuneSelf {
+		r, size = utf8.DecodeRune(f)
+	}
+	if size == len(f) {
+		switch unicode.ToUpper(r) {
+		case 'I':
+			return netlist.DirInput
+		case 'O':
+			return netlist.DirOutput
+		}
+	}
+	return netlist.DirInout
+}
+
 // ReadNets parses a .nets stream into nl, which must already hold the cells.
 func ReadNets(r io.Reader, nl *netlist.Netlist) error {
 	ls := newLineScanner(r)
 	startNets, startPins := nl.NumNets(), nl.NumPins()
 	declaredNets, declaredPins := -1, -1
 	netCount := 0
-	var pending []netlist.Endpoint
+	var pending []netlist.Endpoint // reused: AddNet keeps no reference to it
 	var pendingName string
 	var pendingLeft int
+	pinNames := make(map[string]string) // one string per distinct pin name
 
 	flush := func() error {
 		if pendingName == "" {
@@ -336,7 +455,7 @@ func ReadNets(r io.Reader, nl *netlist.Netlist) error {
 			return fmt.Errorf("%w: %w", err, ErrMalformedInput)
 		}
 		pendingName = ""
-		pending = nil
+		pending = pending[:0]
 		return nil
 	}
 
@@ -364,19 +483,19 @@ func ReadNets(r io.Reader, nl *netlist.Netlist) error {
 			if err := flush(); err != nil {
 				return fmt.Errorf("line %d: %w", ls.num, err)
 			}
-			fields := strings.Fields(v)
+			fields := ls.split(v, false)
 			if len(fields) == 0 {
 				return malf(ls.num, "NetDegree missing count")
 			}
-			deg, err := strconv.Atoi(fields[0])
+			deg, err := strconv.Atoi(string(fields[0]))
 			if err != nil || deg < 1 {
 				return malf(ls.num, "bad NetDegree %q", fields[0])
 			}
 			pendingLeft = deg
 			if len(fields) > 1 {
-				pendingName = fields[1]
+				pendingName = string(fields[1])
 			} else {
-				pendingName = fmt.Sprintf("net%d", netCount)
+				pendingName = "net" + strconv.Itoa(netCount)
 			}
 			netCount++
 			continue
@@ -385,49 +504,46 @@ func ReadNets(r io.Reader, nl *netlist.Netlist) error {
 		if pendingName == "" {
 			return malf(ls.num, "pin line outside a net: %q", ls.line)
 		}
-		fields := strings.Fields(strings.ReplaceAll(ls.line, ":", " "))
+		fields := ls.split(ls.line, true)
 		if len(fields) < 2 {
 			return malf(ls.num, "malformed pin %q", ls.line)
 		}
-		cid := nl.CellByName(fields[0])
+		cid := nl.CellByName(string(fields[0]))
 		if cid == netlist.NoCell {
 			return malf(ls.num, "unknown cell %q", fields[0])
-		}
-		var dir netlist.Dir
-		switch strings.ToUpper(fields[1]) {
-		case "I":
-			dir = netlist.DirInput
-		case "O":
-			dir = netlist.DirOutput
-		default:
-			dir = netlist.DirInout
 		}
 		var dx, dy float64
 		if len(fields) >= 4 {
 			var err error
-			if dx, err = strconv.ParseFloat(fields[2], 64); err != nil {
+			if dx, err = parseFloat(fields[2]); err != nil {
 				return malf(ls.num, "bad pin offset %q", fields[2])
 			}
-			if dy, err = strconv.ParseFloat(fields[3], 64); err != nil {
+			if dy, err = parseFloat(fields[3]); err != nil {
 				return malf(ls.num, "bad pin offset %q", fields[3])
 			}
-			if math.IsNaN(dx) || math.IsInf(dx, 0) || math.IsNaN(dy) || math.IsInf(dy, 0) {
+			if !finite(dx) || !finite(dy) {
 				return malf(ls.num, "non-finite pin offset (%g,%g)", dx, dy)
 			}
 		}
 		// Optional 5th token: pin name (academic extension). Without it,
 		// pins get positional names and structural extraction loses the
 		// pin-role signal.
-		pinName := fmt.Sprintf("p%d", len(pending))
+		var pinName string
 		if len(fields) >= 5 {
-			pinName = fields[4]
+			var ok bool
+			if pinName, ok = pinNames[string(fields[4])]; !ok {
+				pinName = string(fields[4])
+				pinNames[pinName] = pinName
+			}
+		} else {
+			pinName = "p" + strconv.Itoa(len(pending))
 		}
 		cell := nl.Cell(cid)
 		// Convert center-relative Bookshelf offsets to lower-left-relative.
 		pending = append(pending, netlist.Endpoint{
 			Cell: cid,
 			Pin:  pinName,
-			Dir:  dir,
+			Dir:  pinDir(fields[1]),
 			DX:   cell.W/2 + dx,
 			DY:   cell.H/2 + dy,
 		})
@@ -454,28 +570,28 @@ func ReadNets(r io.Reader, nl *netlist.Netlist) error {
 func ReadPl(r io.Reader, nl *netlist.Netlist, pl *netlist.Placement) error {
 	ls := newLineScanner(r)
 	for ls.next() {
-		fields := strings.Fields(ls.line)
+		fields := ls.split(ls.line, false)
 		if len(fields) < 3 {
 			return malf(ls.num, "malformed placement %q", ls.line)
 		}
-		cid := nl.CellByName(fields[0])
+		cid := nl.CellByName(string(fields[0]))
 		if cid == netlist.NoCell {
 			return malf(ls.num, "unknown cell %q", fields[0])
 		}
-		x, err := strconv.ParseFloat(fields[1], 64)
+		x, err := parseFloat(fields[1])
 		if err != nil {
 			return malf(ls.num, "bad x %q", fields[1])
 		}
-		y, err := strconv.ParseFloat(fields[2], 64)
+		y, err := parseFloat(fields[2])
 		if err != nil {
 			return malf(ls.num, "bad y %q", fields[2])
 		}
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
+		if !finite(x) || !finite(y) {
 			return malf(ls.num, "non-finite position (%g,%g) for %q", x, y, fields[0])
 		}
 		pl.X[cid] = x
 		pl.Y[cid] = y
-		if strings.Contains(ls.line, "/FIXED") {
+		if bytes.Contains(ls.line, fixedTag) {
 			nl.Cell(cid).Fixed = true
 		}
 	}
@@ -492,11 +608,11 @@ func ReadScl(r io.Reader) (*geom.Core, error) {
 	inRow := false
 	for ls.next() {
 		switch {
-		case strings.HasPrefix(ls.line, "CoreRow"):
+		case hasPrefix(ls.line, "CoreRow"):
 			inRow = true
 			cur = geom.Row{SiteW: 1}
 			numSites = 0
-		case strings.HasPrefix(ls.line, "End"):
+		case hasPrefix(ls.line, "End"):
 			if inRow {
 				cur.W = numSites * cur.SiteW
 				rows = append(rows, cur)
@@ -505,28 +621,28 @@ func ReadScl(r io.Reader) (*geom.Core, error) {
 		case inRow:
 			// Row attribute lines may carry several "Key : value" pairs.
 			if v, ok := headerValue(ls.line, "Coordinate"); ok {
-				if _, err := fmt.Sscan(v, &cur.Y); err != nil {
+				if _, err := fmt.Sscan(string(v), &cur.Y); err != nil {
 					return nil, malf(ls.num, "bad Coordinate %q", v)
 				}
 			} else if v, ok := headerValue(ls.line, "Height"); ok {
-				if _, err := fmt.Sscan(v, &cur.H); err != nil {
+				if _, err := fmt.Sscan(string(v), &cur.H); err != nil {
 					return nil, malf(ls.num, "bad Height %q", v)
 				}
 			} else if v, ok := headerValue(ls.line, "Sitewidth"); ok {
-				if _, err := fmt.Sscan(v, &cur.SiteW); err != nil {
+				if _, err := fmt.Sscan(string(v), &cur.SiteW); err != nil {
 					return nil, malf(ls.num, "bad Sitewidth %q", v)
 				}
 			} else if v, ok := headerValue(ls.line, "SubrowOrigin"); ok {
 				// "SubrowOrigin : x NumSites : n"
-				fields := strings.Fields(strings.ReplaceAll(v, ":", " "))
+				fields := ls.split(v, true)
 				if len(fields) >= 1 {
-					if _, err := fmt.Sscan(fields[0], &cur.X); err != nil {
+					if _, err := fmt.Sscan(string(fields[0]), &cur.X); err != nil {
 						return nil, malf(ls.num, "bad SubrowOrigin %q", v)
 					}
 				}
 				for i := 0; i+1 < len(fields); i++ {
-					if strings.EqualFold(fields[i], "NumSites") {
-						if _, err := fmt.Sscan(fields[i+1], &numSites); err != nil {
+					if bytes.EqualFold(fields[i], numSitesKey) {
+						if _, err := fmt.Sscan(string(fields[i+1]), &numSites); err != nil {
 							return nil, malf(ls.num, "bad NumSites %q", fields[i+1])
 						}
 					}
@@ -541,9 +657,7 @@ func ReadScl(r io.Reader) (*geom.Core, error) {
 		return nil, fmt.Errorf("scl: no rows found: %w", ErrMalformedInput)
 	}
 	for i := range rows {
-		if !finiteSize(rows[i].H) || !finiteSize(rows[i].W) ||
-			math.IsNaN(rows[i].X) || math.IsInf(rows[i].X, 0) ||
-			math.IsNaN(rows[i].Y) || math.IsInf(rows[i].Y, 0) {
+		if !finiteSize(rows[i].H) || !finiteSize(rows[i].W) || !finite(rows[i].X) || !finite(rows[i].Y) {
 			return nil, fmt.Errorf("scl: row %d has non-finite geometry: %w", i, ErrMalformedInput)
 		}
 	}

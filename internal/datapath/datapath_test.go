@@ -307,3 +307,41 @@ func TestCompareEmpty(t *testing.T) {
 		t.Errorf("empty compare = %+v", s)
 	}
 }
+
+// TestExtractKeepsWideSliceNets pins maxFanout at 12: a per-bit net of up
+// to 12 pins is data. In an 8-bit src→dff→sink column, each q[i] net also
+// feeds eight observer cells, ten pins in all, and extraction must still
+// follow it from the flip-flops to their sinks.
+func TestExtractKeepsWideSliceNets(t *testing.T) {
+	const bits, observers = 8, 8
+	nl := netlist.New("widecol")
+	var bitCells [][3]netlist.CellID
+	for i := 0; i < bits; i++ {
+		src := nl.MustAddCell(fmt.Sprintf("src%d", i), "INV", 2, 1, false)
+		dff := nl.MustAddCell(fmt.Sprintf("dff%d", i), "DFF", 5, 1, false)
+		sink := nl.MustAddCell(fmt.Sprintf("sink%d", i), "INV", 2, 1, false)
+		bitCells = append(bitCells, [3]netlist.CellID{src, dff, sink})
+		nl.MustAddNet(fmt.Sprintf("d[%d]", i), 1,
+			netlist.Endpoint{Cell: src, Pin: "Y", Dir: netlist.DirOutput},
+			netlist.Endpoint{Cell: dff, Pin: "D", Dir: netlist.DirInput})
+		q := []netlist.Endpoint{
+			{Cell: dff, Pin: "Q", Dir: netlist.DirOutput},
+			{Cell: sink, Pin: "A", Dir: netlist.DirInput},
+		}
+		for k := 0; k < observers; k++ {
+			obs := nl.MustAddCell(fmt.Sprintf("obs%d_%d", i, k), "OBS", 1, 1, false)
+			q = append(q, netlist.Endpoint{Cell: obs, Pin: "A", Dir: netlist.DirInput})
+		}
+		nl.MustAddNet(fmt.Sprintf("q[%d]", i), 1, q...)
+	}
+	truth := NewLabels(nl.NumCells())
+	for i, cells := range bitCells {
+		for _, c := range cells {
+			truth.Group[c], truth.Bit[c] = 0, i
+		}
+	}
+	ext := Extract(nl, DefaultOptions())
+	if score := Compare(truth, ext.Labels()); score.Recall < 0.99 || score.Precision < 0.99 {
+		t.Errorf("score = %+v with %d-pin slice nets, want perfect recovery", score, 2+observers)
+	}
+}

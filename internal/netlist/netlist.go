@@ -105,13 +105,20 @@ func New(name string) *Netlist {
 	}
 }
 
-// Reserve grows the cell/net/pin slices' capacity ahead of a bulk load.
-// Counts are hints that bound allocation, not the final sizes; readers must
-// cap hostile header counts before passing them here.
+// Reserve grows the cell/net/pin slices' capacity ahead of a bulk load, and
+// sizes an empty cell or net name index for that many names, so the load
+// regrows neither. Counts are hints that bound allocation, not the final
+// sizes; readers must cap hostile header counts before passing them here.
 func (nl *Netlist) Reserve(cells, nets, pins int) {
 	nl.Cells = growCap(nl.Cells, cells)
 	nl.Nets = growCap(nl.Nets, nets)
 	nl.Pins = growCap(nl.Pins, pins)
+	if cells > 0 && len(nl.cellByName) == 0 {
+		nl.cellByName = make(map[string]CellID, cells)
+	}
+	if nets > 0 && len(nl.netByName) == 0 {
+		nl.netByName = make(map[string]NetID, nets)
+	}
 }
 
 func growCap[T any](s []T, n int) []T {

@@ -162,3 +162,16 @@ func TestMovableHelpers(t *testing.T) {
 		t.Errorf("MovableArea = %g", nl.MovableArea())
 	}
 }
+
+// Reserve sizes the name indexes of an empty netlist; lookups are unchanged.
+func TestReserveKeepsLookups(t *testing.T) {
+	nl := New("r")
+	nl.Reserve(4, 2, 8)
+	a := nl.MustAddCell("a", "INV", 1, 1, false)
+	nl.Reserve(4, 2, 8) // not empty now: the index keeps its entries
+	b := nl.MustAddCell("b", "INV", 1, 1, false)
+	nl.MustAddNet("n", 1, Endpoint{Cell: a}, Endpoint{Cell: b})
+	if nl.CellByName("a") != a || nl.CellByName("b") != b || nl.NetByName("n") != 0 {
+		t.Fatalf("lookups after Reserve: a=%d b=%d n=%d", nl.CellByName("a"), nl.CellByName("b"), nl.NetByName("n"))
+	}
+}

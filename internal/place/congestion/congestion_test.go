@@ -9,6 +9,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/par"
+	"repro/internal/route"
 )
 
 // congProblem builds a netlist of 2-pin nets with every cell pinched into the
@@ -195,6 +196,46 @@ func TestSnapshotCancelledContext(t *testing.T) {
 	for i, s := range c.Scale() {
 		if s != 1 {
 			t.Fatalf("cancelled snapshot inflated cell %d to %v", i, s)
+		}
+	}
+}
+
+// TestHotThresholdFloorsTheQuantile pins hotThreshold at 1.0. One short net
+// in an otherwise empty grid puts the 0.92 demand quantile at 0, so the
+// absolute floor alone decides which bins are hot: a bin at demand 1.05,
+// just over capacity, is hot and its cells inflate.
+func TestHotThresholdFloorsTheQuantile(t *testing.T) {
+	nl := netlist.New("floor")
+	a := nl.MustAddCell("a", "std", 2, 2, false)
+	b := nl.MustAddCell("b", "std", 2, 2, false)
+	nl.MustAddNet("n", 1, netlist.Endpoint{Cell: a, Pin: "Y"}, netlist.Endpoint{Cell: b, Pin: "A"})
+	pl := netlist.NewPlacement(nl)
+	pl.X[a], pl.Y[a] = 42, 42
+	pl.X[b], pl.Y[b] = 46, 46
+	grid := geom.NewGrid(geom.NewRect(0, 0, 100, 100), 10, 10)
+	pool := par.New(1)
+	ctx := context.Background()
+
+	// Demand scales as 1/Capacity: probe at capacity 1, then pick the
+	// capacity that puts the net's bin at 1.05.
+	probe := route.NewEstimator(nl, grid, route.RUDYOptions{WireWidth: 1, Capacity: 1}).Snapshot(ctx, pool, pl)
+	peak, hot := 0.0, 0
+	for _, d := range probe.Demand {
+		peak = max(peak, d)
+		if d > 0 {
+			hot++
+		}
+	}
+	if hot != 1 {
+		t.Fatalf("the net covers %d bins, want 1", hot)
+	}
+	c := New(nl, grid, Options{Enable: true, Capacity: peak / 1.05})
+	if !c.Snapshot(ctx, pool, pl) {
+		t.Fatal("a bin at demand 1.05 inflated nothing; the hot floor is above it")
+	}
+	for _, id := range []netlist.CellID{a, b} {
+		if s := c.Scale()[id]; !(s > 1) {
+			t.Errorf("cell %d in the hot bin has scale %v", id, s)
 		}
 	}
 }

@@ -165,3 +165,25 @@ func TestLegalizeOverfullFails(t *testing.T) {
 func cellName(i int) string {
 	return "c" + string(rune('a'+i%26)) + string(rune('0'+i/26))
 }
+
+// TestLegalizeSearchesTwelveRows pins rowSearchSpan at 12. A fixed macro
+// leaves rows 0–5 free only at x ≥ 88, so within four rows of its desired
+// row 0 the cell lands 78 units right of its desired x. Six rows up, row 6
+// has room right at it, for a displacement of 60: a search that spans
+// twelve rows finds it.
+func TestLegalizeSearchesTwelveRows(t *testing.T) {
+	nl := netlist.New("span")
+	blk := nl.MustAddCell("blk", "MACRO", 88, 60, true)
+	c := nl.MustAddCell("c", "STD", 4, 10, false)
+	core := geom.NewCore(geom.NewRect(0, 0, 100, 200), 10, 1)
+	pl := netlist.NewPlacement(nl)
+	pl.SetLoc(blk, geom.Point{X: 0, Y: 0})
+	pl.SetLoc(c, geom.Point{X: 10, Y: 0})
+	res, err := legal.Legalize(nl, pl, core, legal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.Loc(c); got != (geom.Point{X: 10, Y: 60}) || res.TotalDisplacement != 60 {
+		t.Fatalf("cell legalized to %v (displacement %v), want (10,60) in row 6 (60)", got, res.TotalDisplacement)
+	}
+}
