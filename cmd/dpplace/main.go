@@ -79,6 +79,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/place/congestion"
 	"repro/internal/place/global"
 	"repro/internal/place/multilevel"
@@ -109,24 +110,6 @@ func classify(err error) int {
 		return exitDegenerate
 	default:
 		return exitError
-	}
-}
-
-// exitName is the run report's machine-readable exit classification.
-func exitName(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, core.ErrTimeout):
-		return "timeout"
-	case errors.Is(err, core.ErrDiverged):
-		return "diverged"
-	case errors.Is(err, core.ErrDegenerateGroups):
-		return "degenerate-groups"
-	case errors.Is(err, core.ErrMalformedInput):
-		return "malformed-input"
-	default:
-		return "error"
 	}
 }
 
@@ -412,7 +395,7 @@ func run() int {
 	}
 
 	if *reportPath != "" {
-		exitLabel := exitName(err)
+		exitLabel := pipeline.Classify(err)
 		if interrupted {
 			exitLabel = "interrupted"
 		}
@@ -447,16 +430,8 @@ func run() int {
 		if res.Partial && !res.LegalityChecked {
 			rec.Logf(obs.Warn, "dpplace", "partial result is not legal; not writing %s", *outPl)
 		} else {
-			f, ferr := os.Create(*outPl)
-			if ferr != nil {
-				return fatal(exitError, "%v", ferr)
-			}
-			if werr := bookshelf.WritePl(f, d.Netlist, res.Placement); werr != nil {
-				f.Close()
+			if werr := bookshelf.WritePlFile(*outPl, d.Netlist, res.Placement); werr != nil {
 				return fatal(exitError, "%v", werr)
-			}
-			if cerr := f.Close(); cerr != nil {
-				return fatal(exitError, "%v", cerr)
 			}
 			if !*quiet {
 				fmt.Printf("placement:       %s\n", *outPl)
@@ -524,14 +499,12 @@ func printSummary(w *os.File, mode core.Mode, res *core.Result, rep *metrics.Rep
 
 // writeReport assembles and writes the machine-readable run report.
 // exitLabel is the machine-readable exit classification ("interrupted" for
-// signal stops, exitName(err) otherwise).
+// signal stops, pipeline.Classify(err) otherwise).
 func writeReport(path, design string, mode core.Mode, res *core.Result, rep *metrics.Report, exitLabel string, rec *obs.Recorder) error {
 	out := res.RunReport(design, mode, exitLabel, rec)
 	if n := faultinject.FiredTotal(); n > 0 {
 		out.Counters["fault_injections"] = int64(n)
 	}
-	if rep != nil {
-		out.Metrics = rep
-	}
-	return obs.WriteReportFile(path, out)
+	out.Metrics = rep
+	return core.WriteReportFile(path, out)
 }

@@ -80,8 +80,8 @@ type (
 	// Recorder is the flight recorder: spans, counters, solver telemetry
 	// and leveled logging; see obs.Recorder.
 	Recorder = obs.Recorder
-	// RunReport is the machine-readable run summary; see obs.RunReport.
-	RunReport = obs.RunReport
+	// RunReport is the machine-readable run summary; see core.RunReport.
+	RunReport = core.RunReport
 	// TrajectoryPoint is one λ-schedule snapshot; see obs.TrajectoryPoint.
 	TrajectoryPoint = obs.TrajectoryPoint
 )

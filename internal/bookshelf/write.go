@@ -1,6 +1,8 @@
 package bookshelf
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -21,10 +23,18 @@ func WriteAux(dir, base string, d *Design) (string, error) {
 	if strings.IndexFunc(base, unicode.IsSpace) >= 0 || strings.ContainsAny(base, "/"+string(filepath.Separator)) {
 		return "", fmt.Errorf("bookshelf: base name %q holds white space or a path separator", base)
 	}
-	for _, check := range []func(*netlist.Netlist) error{checkNodes, checkNets, checkPl} {
-		if err := check(d.Netlist); err != nil {
-			return "", err
-		}
+	err := checkNodes(d.Netlist)
+	if err == nil {
+		err = checkNets(d.Netlist)
+	}
+	if err == nil {
+		err = checkPl(d.Netlist, d.Placement)
+	}
+	if err == nil && d.Core != nil {
+		err = checkScl(d.Core)
+	}
+	if err != nil {
+		return "", err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("bookshelf: %w", err)
@@ -39,7 +49,7 @@ func WriteAux(dir, base string, d *Design) (string, error) {
 		{".nets", func(w io.Writer) error { return writeNets(w, d.Netlist) }},
 		{".nodes", func(w io.Writer) error { return writeNodes(w, d.Netlist) }},
 		{".pl", func(w io.Writer) error { return writePl(w, d.Netlist, d.Placement) }},
-		{".scl", func(w io.Writer) error { return WriteScl(w, d.Core) }},
+		{".scl", func(w io.Writer) error { return writeScl(w, d.Core) }},
 	}
 	line := "RowBasedPlacement : " + base + ".nodes " + base + ".nets " + base + ".pl"
 	if d.Core != nil {
@@ -54,7 +64,7 @@ func WriteAux(dir, base string, d *Design) (string, error) {
 		}
 	}
 	auxPath := filepath.Join(dir, base+".aux")
-	err := writeFile(auxPath, func(w io.Writer) error {
+	err = writeFile(auxPath, func(w io.Writer) error {
 		_, err := io.WriteString(w, line+"\n")
 		return err
 	})
@@ -167,20 +177,27 @@ func badCellName(name string, colon bool, keys []string) string {
 	return ""
 }
 
-// checkNodes rejects the first cell name ReadNodes would misread.
+// checkNodes rejects the first cell ReadNodes would misread or refuse: a
+// name it would misread, or a width or height that is not finite and
+// positive.
 func checkNodes(nl *netlist.Netlist) error {
 	for i := range nl.Cells {
-		if why := badCellName(nl.Cells[i].Name, false, nodesKeys); why != "" {
-			return fmt.Errorf("bookshelf: cell %d name %q %s", i, nl.Cells[i].Name, why)
+		c := &nl.Cells[i]
+		if why := badCellName(c.Name, false, nodesKeys); why != "" {
+			return fmt.Errorf("bookshelf: cell %d name %q %s", i, c.Name, why)
+		}
+		if !finiteSize(c.W) || !finiteSize(c.H) {
+			return fmt.Errorf("bookshelf: cell %d %q has size %gx%g, which ReadNodes refuses", i, c.Name, c.W, c.H)
 		}
 	}
 	return nil
 }
 
-// checkPl rejects the first cell name ReadPl would misread. ReadPl also
-// takes "/FIXED" anywhere on a line for the fixed flag, which misreads the
-// name of a movable cell only.
-func checkPl(nl *netlist.Netlist) error {
+// checkPl rejects the first cell ReadPl would misread or refuse: a name it
+// would misread, or a position that is not finite. ReadPl also takes
+// "/FIXED" anywhere on a line for the fixed flag, which misreads the name
+// of a movable cell only.
+func checkPl(nl *netlist.Netlist, pl *netlist.Placement) error {
 	for i := range nl.Cells {
 		c := &nl.Cells[i]
 		why := badCellName(c.Name, false, plKeys)
@@ -190,21 +207,28 @@ func checkPl(nl *netlist.Netlist) error {
 		if why != "" {
 			return fmt.Errorf("bookshelf: cell %d name %q %s", i, c.Name, why)
 		}
+		if !finite(pl.X[i]) || !finite(pl.Y[i]) {
+			return fmt.Errorf("bookshelf: cell %d %q has position (%g,%g), which ReadPl refuses", i, c.Name, pl.X[i], pl.Y[i])
+		}
 	}
 	return nil
 }
 
-// checkNets rejects what ReadNets would misread: a net name badName
-// refuses (':' is allowed there, as the NetDegree line does not split on
-// it), a pin or pin-line cell name it refuses with ':', a pin-line cell
-// name starting with a .nets key, and a top-level terminal pin, which
-// belongs to no cell the file can name.
+// checkNets rejects what ReadNets would misread or refuse: a net name
+// badName refuses (':' is allowed there, as the NetDegree line does not
+// split on it), a net with no pins, a pin or pin-line cell name it refuses
+// with ':', a pin-line cell name starting with a .nets key, a top-level
+// terminal pin, which belongs to no cell the file can name, and a pin
+// offset that is not finite as written.
 func checkNets(nl *netlist.Netlist) error {
 	checked := make([]bool, len(nl.Cells))
 	for i := range nl.Nets {
 		n := &nl.Nets[i]
 		if why := badName(n.Name, false); why != "" {
 			return fmt.Errorf("bookshelf: net %d name %q %s", i, n.Name, why)
+		}
+		if n.Degree() < 1 {
+			return fmt.Errorf("bookshelf: net %d %q has no pins, which ReadNets refuses", i, n.Name)
 		}
 		for _, pid := range n.Pins {
 			p := nl.Pin(pid)
@@ -213,6 +237,9 @@ func checkNets(nl *netlist.Netlist) error {
 			}
 			if why := badName(p.Name, true); why != "" {
 				return fmt.Errorf("bookshelf: net %q pin name %q %s", n.Name, p.Name, why)
+			}
+			if dx, dy := pinOffset(nl, p); !finite(dx) || !finite(dy) {
+				return fmt.Errorf("bookshelf: net %q pin %q has offset (%g,%g), which ReadNets refuses", n.Name, p.Name, dx, dy)
 			}
 			if !checked[p.Cell] {
 				checked[p.Cell] = true
@@ -225,8 +252,41 @@ func checkNets(nl *netlist.Netlist) error {
 	return nil
 }
 
+// checkScl rejects a core ReadScl would refuse: one with no rows, or a row
+// whose height or origin, or whose width as written in whole sites, is not
+// finite, or whose height or width is not positive.
+func checkScl(core *geom.Core) error {
+	if len(core.Rows) == 0 {
+		return errors.New("bookshelf: core has no rows, which ReadScl refuses")
+	}
+	for i, row := range core.Rows {
+		siteW := sitePitch(row)
+		w := float64(int(row.W/siteW)) * siteW
+		if !finiteSize(row.H) || !finiteSize(w) || !finite(row.X) || !finite(row.Y) {
+			return fmt.Errorf("bookshelf: row %d at (%g,%g) of %gx%g, %g wide in whole sites, which ReadScl refuses",
+				i, row.X, row.Y, row.W, row.H, w)
+		}
+	}
+	return nil
+}
+
+// sitePitch is the site width WriteScl writes for row.
+func sitePitch(row geom.Row) float64 {
+	if row.SiteW <= 0 {
+		return 1
+	}
+	return row.SiteW
+}
+
+// pinOffset is the center-relative offset WriteNets writes for p.
+func pinOffset(nl *netlist.Netlist, p *netlist.Pin) (dx, dy float64) {
+	cell := nl.Cell(p.Cell)
+	return p.DX - cell.W/2, p.DY - cell.H/2
+}
+
 // WriteNodes writes the .nodes section for nl. It writes nothing and
-// returns an error when ReadNodes would misread a cell name.
+// returns an error when ReadNodes would misread a cell name or refuse a
+// cell size.
 func WriteNodes(w io.Writer, nl *netlist.Netlist) error {
 	if err := checkNodes(nl); err != nil {
 		return err
@@ -250,8 +310,9 @@ func writeNodes(w io.Writer, nl *netlist.Netlist) error {
 
 // WriteNets writes the .nets section for nl, converting pin offsets back to
 // the Bookshelf center-relative convention. It writes nothing and returns
-// an error when ReadNets would misread a cell, net or pin name, or when a
-// pin is a top-level terminal.
+// an error when ReadNets would misread a cell, net or pin name or refuse a
+// net with no pins or a non-finite pin offset, or when a pin is a
+// top-level terminal.
 func WriteNets(w io.Writer, nl *netlist.Netlist) error {
 	if err := checkNets(nl); err != nil {
 		return err
@@ -274,23 +335,37 @@ func writeNets(w io.Writer, nl *netlist.Netlist) error {
 			case netlist.DirOutput:
 				dirCh = "O"
 			}
-			cell := nl.Cell(p.Cell)
+			dx, dy := pinOffset(nl, p)
 			// The trailing pin name is a common academic extension of the
 			// Bookshelf .nets format; standard parsers ignore extra tokens
 			// and our reader recovers it, preserving extraction fidelity.
-			lw.s("\t").s(cell.Name).s(" ").s(dirCh).s(" : ").g(p.DX - cell.W/2).s(" ").g(p.DY - cell.H/2).s(" ").s(p.Name).end()
+			lw.s("\t").s(nl.Cell(p.Cell).Name).s(" ").s(dirCh).s(" : ").g(dx).s(" ").g(dy).s(" ").s(p.Name).end()
 		}
 	}
 	return lw.flush()
 }
 
 // WritePl writes the .pl section. It writes nothing and returns an error
-// when ReadPl would misread a cell name.
+// when ReadPl would misread a cell name or refuse a position.
 func WritePl(w io.Writer, nl *netlist.Netlist, pl *netlist.Placement) error {
-	if err := checkPl(nl); err != nil {
+	if err := checkPl(nl, pl); err != nil {
 		return err
 	}
 	return writePl(w, nl, pl)
+}
+
+// WritePlFile writes the .pl section to path. The bytes are built first, so
+// when WritePl refuses the placement nothing is created and a file already
+// at path is left as it was.
+func WritePlFile(path string, nl *netlist.Netlist, pl *netlist.Placement) error {
+	var buf bytes.Buffer
+	if err := WritePl(&buf, nl, pl); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return fmt.Errorf("bookshelf: %w", err)
+	}
+	return nil
 }
 
 func writePl(w io.Writer, nl *netlist.Netlist, pl *netlist.Placement) error {
@@ -307,15 +382,20 @@ func writePl(w io.Writer, nl *netlist.Netlist, pl *netlist.Placement) error {
 	return lw.flush()
 }
 
-// WriteScl writes the .scl section for core.
+// WriteScl writes the .scl section for core. It writes nothing and returns
+// an error when ReadScl would refuse the core.
 func WriteScl(w io.Writer, core *geom.Core) error {
+	if err := checkScl(core); err != nil {
+		return err
+	}
+	return writeScl(w, core)
+}
+
+func writeScl(w io.Writer, core *geom.Core) error {
 	lw := newLineWriter(w)
 	lw.s("UCLA scl 1.0\n\nNumRows : ").d(core.NumRows()).end()
 	for _, row := range core.Rows {
-		siteW := row.SiteW
-		if siteW <= 0 {
-			siteW = 1
-		}
+		siteW := sitePitch(row)
 		lw.s("CoreRow Horizontal\n Coordinate : ").g(row.Y).
 			s("\n Height : ").g(row.H).
 			s("\n Sitewidth : ").g(siteW).

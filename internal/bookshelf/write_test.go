@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -58,9 +59,10 @@ func diffNames(in, out *netlist.Netlist) string {
 }
 
 // Every exported writer refuses, before writing a byte, a design its reader
-// would split, truncate, skip or take for a header, and the others write it.
-// Each case breaks the previous write-then-read: the oracle writer writes
-// it, and reading it back fails or returns other names.
+// would split, truncate, skip or take for a header, or whose values it
+// refuses, and the others write it. Each case breaks the previous
+// write-then-read: the oracle writer writes it, and reading it back fails
+// or returns other names.
 func TestWritersRejectUnreadableNames(t *testing.T) {
 	cell := func(name string) func(*Design) {
 		return func(d *Design) { d.Netlist.Cells[0].Name = name; d.Netlist.RebuildIndex() }
@@ -71,6 +73,10 @@ func TestWritersRejectUnreadableNames(t *testing.T) {
 	pin := func(name string) func(*Design) {
 		return func(d *Design) { d.Netlist.Pins[0].Name = name }
 	}
+	size := func(w, h float64) func(*Design) {
+		return func(d *Design) { d.Netlist.Cells[0].W, d.Netlist.Cells[0].H = w, h }
+	}
+	inf, nan := math.Inf(1), math.NaN()
 	const all = "WriteNodes WriteNets WritePl"
 	cases := []struct {
 		name   string
@@ -105,6 +111,18 @@ func TestWritersRejectUnreadableNames(t *testing.T) {
 		{"space in pin name", "x", pin("Y 2"), "WriteNets"},
 		{": in pin name", "x", pin("Y:2"), "WriteNets"},
 		{"# in pin name", "x", pin("Y#2"), "WriteNets"},
+		{"NaN x coordinate", "x", func(d *Design) { d.Placement.X[0] = nan }, "WritePl"},
+		{"infinite y coordinate", "x", func(d *Design) { d.Placement.Y[1] = -inf }, "WritePl"},
+		{"infinite pin offset", "x", func(d *Design) { d.Netlist.Pins[0].DX = inf }, "WriteNets"},
+		{"NaN pin offset", "x", func(d *Design) { d.Netlist.Pins[1].DY = nan }, "WriteNets"},
+		{"zero cell width", "x", size(0, 10), "WriteNodes"},
+		{"negative cell height", "x", size(2, -10), "WriteNodes"},
+		{"infinite cell width", "x", size(inf, 10), "WriteNodes WriteNets"},
+		{"NaN cell height", "x", size(2, nan), "WriteNodes WriteNets"},
+		{"net with no pins", "x", func(d *Design) { d.Netlist.MustAddNet("n2", 1) }, "WriteNets"},
+		{"core with no rows", "x", func(d *Design) { d.Core.Rows = nil }, "WriteScl"},
+		{"NaN row height", "x", func(d *Design) { d.Core.Rows[1].H = nan }, "WriteScl"},
+		{"row narrower than a site", "x", func(d *Design) { d.Core.Rows[0].W = 0.5 }, "WriteScl"},
 		{"space in base name", "my design", func(*Design) {}, ""},
 		{"separator in base name", "sub/x", func(*Design) {}, ""},
 	}
@@ -144,6 +162,7 @@ func TestWritersRejectUnreadableNames(t *testing.T) {
 				"WriteNets":  func(w *bytes.Buffer) error { return WriteNets(w, d.Netlist) },
 				"WriteNodes": func(w *bytes.Buffer) error { return WriteNodes(w, d.Netlist) },
 				"WritePl":    func(w *bytes.Buffer) error { return WritePl(w, d.Netlist, d.Placement) },
+				"WriteScl":   func(w *bytes.Buffer) error { return WriteScl(w, d.Core) },
 			} {
 				var buf bytes.Buffer
 				err := write(&buf)

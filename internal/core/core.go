@@ -125,9 +125,9 @@ func (s StageTimes) Total() time.Duration {
 // Degradation records one graceful-degradation event: a piece of extracted
 // structure the pipeline dropped or dissolved instead of failing.
 type Degradation struct {
-	Stage  string // "extract", "global" or "legalize"
-	Group  int    // group index at the failing stage; -1 = whole flow
-	Reason string
+	Stage  string `json:"stage"` // "extract", "global" or "legalize"
+	Group  int    `json:"group"` // group index at the failing stage; -1 = whole flow
+	Reason string `json:"reason"`
 }
 
 // Result is the pipeline outcome.
@@ -154,50 +154,6 @@ type Result struct {
 	Partial bool
 	// Degradations lists the graceful-degradation events of the run.
 	Degradations []Degradation
-}
-
-// RunReport assembles the dpplace-run-report/v1 document of a finished run
-// from its result and the recorder that observed it; exit is the
-// machine-readable exit classification. dpplace -report and the daemon's
-// report.json both come from here; callers add what only they know (the
-// evaluation report, extra counters, a metrics snapshot).
-func (r *Result) RunReport(design string, mode Mode, exit string, rec *obs.Recorder) *obs.RunReport {
-	out := &obs.RunReport{
-		Design:  design,
-		Mode:    mode.String(),
-		Exit:    exit,
-		Partial: r.Partial,
-		Workers: r.GlobalResult.Workers,
-		HPWL: obs.HPWLSummary{
-			Global: r.HPWLGlobal,
-			Legal:  r.HPWLLegal,
-			Final:  r.HPWLFinal,
-		},
-		StageSeconds: map[string]float64{
-			"extract":  r.Times.Extract.Seconds(),
-			"global":   r.Times.Global.Seconds(),
-			"legalize": r.Times.Legalize.Seconds(),
-			"detail":   r.Times.Detail.Seconds(),
-		},
-		Counters:        rec.Counters(),
-		Trajectory:      rec.Trajectory(),
-		DirtyNetRatio:   r.GlobalResult.DirtyNetRatio(),
-		FullRecomputes:  r.GlobalResult.FullEvals,
-		DeltaRecomputes: r.GlobalResult.DeltaEvals,
-	}
-	if r.Multilevel != nil {
-		out.Levels = r.Multilevel.Levels
-		out.ClusterRatio = r.Multilevel.ClusterRatio
-	}
-	if c := r.GlobalResult.Congestion; c != nil {
-		out.Congestion = c.Report()
-	}
-	for _, deg := range r.Degradations {
-		out.Degradations = append(out.Degradations, obs.DegradeEntry{
-			Stage: deg.Stage, Group: deg.Group, Reason: deg.Reason,
-		})
-	}
-	return out
 }
 
 // Place runs the pipeline on a netlist. initial provides fixed-cell
@@ -320,10 +276,6 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, chip *geom.Core, initial
 		gRes, err = runGlobal(opt.Global, nil)
 		res.Times.Global += sw.Elapsed()
 	}
-	gSpan.Add("outer_iters", int64(gRes.OuterIters))
-	gSpan.Add("func_evals", int64(gRes.FuncEvals))
-	gSpan.Add("rollbacks", int64(gRes.Diagnostics.Rollbacks))
-	gSpan.Add("re_anneals", int64(gRes.Diagnostics.ReAnneals))
 	gSpan.End()
 	res.GlobalResult = gRes
 	if err != nil {

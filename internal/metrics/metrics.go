@@ -72,7 +72,8 @@ func Evaluate(nl *netlist.Netlist, pl *netlist.Placement, chip *geom.Core, opt O
 	if opt.RouteCapacityFactor <= 0 {
 		opt.RouteCapacityFactor = 0.8
 	}
-	// The router pulls the recorder from its context, nesting its own span.
+	// The router pulls the recorder from its context and opens its own root
+	// "route" span beside this one.
 	gr := route.GlobalRouteCtx(obs.NewContext(context.Background(), opt.Obs),
 		nl, pl, chip.Region, route.GRouteOptions{
 			NX: gridDim, NY: gridDim, WirePitch: wireWidth,
@@ -88,7 +89,6 @@ func Evaluate(nl *netlist.Netlist, pl *netlist.Placement, chip *geom.Core, opt O
 		Congestion: cm.Stats(),
 		Routed:     *gr,
 	}
-	sp.Add("overflow_edges", int64(gr.OverflowEdges))
 	opt.Obs.Logf(obs.Debug, "metrics", "%s", rep)
 	return rep
 }

@@ -1,9 +1,9 @@
 // Package obs is the flight recorder of the placement flow: hierarchical
 // wall-time spans, per-stage counters, per-iteration solver telemetry and
-// leveled logging, emitted as a JSONL trace and aggregated into a
-// machine-readable run report. It has no dependencies outside the standard
-// library and no dependencies on the rest of this repository, so every
-// package of the flow can record into it.
+// leveled logging, emitted as a JSONL trace and collected for the run
+// report that package core assembles. It has no dependencies outside the
+// standard library and no dependencies on the rest of this repository, so
+// every package of the flow can record into it.
 //
 // A Recorder is concurrency-safe and nil-safe: a nil *Recorder (and a nil
 // *Span) is a valid, permanently disabled recorder, so call sites never need
@@ -50,7 +50,6 @@ type Recorder struct {
 	w        io.Writer // JSONL sink; nil = collect only
 	counters map[string]int64
 	traj     []TrajectoryPoint
-	spanHook func(name string, seconds float64)
 
 	logMu sync.Mutex
 	logW  io.Writer
@@ -78,21 +77,6 @@ func (r *Recorder) SetTrace(w io.Writer) {
 // Collect turns recording on without a trace sink: counters, spans and the
 // trajectory aggregate in memory for the run report, and events are dropped.
 func (r *Recorder) Collect() { r.on.Store(true) }
-
-// SetSpanHook registers fn to receive every ended span's name and wall-time
-// duration in seconds. It is the bridge from per-run spans to aggregated
-// state: the daemon feeds ended stage spans into its metrics histograms
-// without the pipeline ever importing a metrics package. fn runs on the
-// goroutine that ends the span and must not block; nil clears the hook.
-// Nil-safe.
-func (r *Recorder) SetSpanHook(fn func(name string, seconds float64)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.spanHook = fn
-	r.mu.Unlock()
-}
 
 // now returns seconds since the recorder was created.
 func (r *Recorder) now() float64 { return time.Since(r.start).Seconds() }
@@ -369,13 +353,6 @@ func (s *Span) End() {
 		}
 	}
 	s.mu.Unlock()
-	dur := time.Since(s.start).Seconds()
 	s.r.emit(spanEndEvent{T: s.r.now(), Ev: "span_end", ID: s.id, Name: s.name,
-		Dur: dur, Counters: counters})
-	s.r.mu.Lock()
-	hook := s.r.spanHook
-	s.r.mu.Unlock()
-	if hook != nil {
-		hook(s.name, dur)
-	}
+		Dur: time.Since(s.start).Seconds(), Counters: counters})
 }

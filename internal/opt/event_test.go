@@ -114,9 +114,8 @@ func TestObserversArePassive(t *testing.T) {
 		o := Options{MaxIter: 500, GradTol: 1e-8}
 		observed := 0
 		if observe {
-			o.Callback = func(iter int, f float64, gnorm float64) bool {
+			o.Callback = func(iter int, f float64, gnorm float64) {
 				observed++
-				return true
 			}
 			o.OnEvent = func(Event) { observed++ }
 		}

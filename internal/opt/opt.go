@@ -39,9 +39,8 @@ type Options struct {
 	MaxIter  int     // hard iteration cap; 0 means 100
 	GradTol  float64 // stop when ||g||/sqrt(n) < GradTol; 0 means 1e-4
 	StepInit float64 // first trial step; 0 means 1
-	// Callback, when non-nil, runs after every accepted iterate; returning
-	// false stops the optimization early (used for λ-schedule hand-off).
-	Callback func(iter int, f, gradNorm float64) bool
+	// Callback, when non-nil, observes every accepted iterate.
+	Callback func(iter int, f, gradNorm float64)
 	// Ctx, when non-nil, is polled cooperatively at every iteration and
 	// every line-search trial; on expiry Minimize stops at the best iterate
 	// found so far and sets Result.Stopped.
@@ -304,8 +303,8 @@ func Minimize(f Func, x []float64, opt Options) Result {
 			step = alpha * 1.25
 		}
 
-		if opt.Callback != nil && !opt.Callback(res.Iters, fx, math.Sqrt(gg)/sqrtN) {
-			break
+		if opt.Callback != nil {
+			opt.Callback(res.Iters, fx, math.Sqrt(gg)/sqrtN)
 		}
 	}
 	// On an abnormal stop, hand back the best iterate rather than whatever

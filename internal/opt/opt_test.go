@@ -75,24 +75,6 @@ func TestMinimizeRespectsMaxIter(t *testing.T) {
 	}
 }
 
-func TestMinimizeCallbackStops(t *testing.T) {
-	// Anisotropic so a single CG step cannot reach the optimum.
-	c := []float64{1, 25}
-	tgt := []float64{50, -30}
-	x := make([]float64, 2)
-	calls := 0
-	res := Minimize(quadratic(c, tgt), x, Options{
-		MaxIter: 100,
-		Callback: func(iter int, f, g float64) bool {
-			calls++
-			return calls < 2
-		},
-	})
-	if res.Iters != 2 {
-		t.Errorf("Iters = %d, want 2 (stopped by callback)", res.Iters)
-	}
-}
-
 func TestMinimizeEmptyInput(t *testing.T) {
 	res := Minimize(func(x, g []float64) float64 { return 0 }, nil, Options{})
 	if !res.Converged {
@@ -125,12 +107,11 @@ func TestMinimizeMonotoneDecrease(t *testing.T) {
 	prev := math.Inf(1)
 	Minimize(quadratic(c, tgt), x, Options{
 		MaxIter: 200,
-		Callback: func(iter int, f, g float64) bool {
+		Callback: func(iter int, f, g float64) {
 			if f > prev+1e-12 {
 				t.Fatalf("objective increased: %g -> %g at iter %d", prev, f, iter)
 			}
 			prev = f
-			return true
 		},
 	})
 }

@@ -39,9 +39,8 @@ func TestValueOnlyProbesBitIdentical(t *testing.T) {
 		res := Minimize(f, x, Options{
 			MaxIter: 60,
 			GradTol: 1e-9,
-			Callback: func(iter int, f, gnorm float64) bool {
+			Callback: func(iter int, f, gnorm float64) {
 				iterF = append(iterF, f)
-				return true
 			},
 		})
 		return x, res, iterF

@@ -4,8 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // Budget is a machine-wide worker allowance shared by concurrent placements.
@@ -27,28 +25,6 @@ type Budget struct {
 	used      int
 	highWater int           // max of used ever observed, for tests and stats
 	waiters   chan struct{} // capacity 1; signaled on every Release
-	hooks     BudgetHooks
-}
-
-// BudgetHooks are optional observation points a daemon wires to its metrics
-// registry. Both callbacks run outside the budget's lock and may fire
-// concurrently from many goroutines; nil fields are simply skipped, so the
-// zero value means "unobserved" and costs nothing on the grant path.
-type BudgetHooks struct {
-	// WaitSeconds receives the wall time one Acquire spent blocked (zero when
-	// capacity was free immediately). Fires once per successful grant.
-	WaitSeconds func(seconds float64)
-	// Occupancy receives the in-use and high-water counts after every grant
-	// and release — the live utilization a gauge tracks.
-	Occupancy func(used, highWater int)
-}
-
-// SetHooks installs the observation hooks. Call once at wiring time, before
-// the budget sees traffic; later calls replace the hooks for future events.
-func (b *Budget) SetHooks(h BudgetHooks) {
-	b.mu.Lock()
-	b.hooks = h
-	b.mu.Unlock()
 }
 
 // NewBudget returns a budget of the given size. Zero or negative means
@@ -90,7 +66,6 @@ func (b *Budget) Acquire(ctx context.Context, want int) (int, error) {
 	if want <= 0 {
 		want = b.Total()
 	}
-	var blocked obs.Stopwatch
 	for {
 		b.mu.Lock()
 		if free := b.total - b.used; free > 0 {
@@ -103,14 +78,7 @@ func (b *Budget) Acquire(ctx context.Context, want int) (int, error) {
 				b.highWater = b.used
 			}
 			leftover := b.total - b.used
-			used, hw, hooks := b.used, b.highWater, b.hooks
 			b.mu.Unlock()
-			if hooks.WaitSeconds != nil {
-				hooks.WaitSeconds(blocked.Seconds())
-			}
-			if hooks.Occupancy != nil {
-				hooks.Occupancy(used, hw)
-			}
 			if leftover > 0 {
 				// Cascade the wake-up: the channel holds at most one signal,
 				// so a waiter that doesn't consume all freed capacity must
@@ -124,9 +92,6 @@ func (b *Budget) Acquire(ctx context.Context, want int) (int, error) {
 			return n, nil
 		}
 		b.mu.Unlock()
-		if !blocked.Started() {
-			blocked = obs.StartStopwatch()
-		}
 		select {
 		case <-b.waiters:
 			// A Release freed capacity; retry. Other waiters that lose the
@@ -149,11 +114,7 @@ func (b *Budget) Release(n int) {
 		panic("par: Budget.Release of more workers than acquired")
 	}
 	b.used -= n
-	used, hw, hooks := b.used, b.highWater, b.hooks
 	b.mu.Unlock()
-	if hooks.Occupancy != nil {
-		hooks.Occupancy(used, hw)
-	}
 	select {
 	case b.waiters <- struct{}{}:
 	default: // a wake-up is already pending; one is enough

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/route"
 )
@@ -98,35 +97,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats summarizes a controller's activity for run reports and metrics.
+// Stats summarizes a controller's activity. The JSON tags are the run
+// report's `congestion` block.
 type Stats struct {
 	// Snapshots is the number of RUDY snapshots taken.
-	Snapshots int
+	Snapshots int `json:"snapshots"`
 	// Applied counts snapshots that changed the inflation state.
-	Applied int
+	Applied int `json:"applied,omitempty"`
 	// InflatedCells is the number of cells currently above scale 1.
-	InflatedCells int
+	InflatedCells int `json:"inflated_cells,omitempty"`
 	// MaxInflation is the largest per-cell scale reached.
-	MaxInflation float64
+	MaxInflation float64 `json:"max_inflation,omitempty"`
 	// FrozenAtSnapshot is the 1-based snapshot index at which the cool-down
 	// froze the schedule; 0 when it never froze.
-	FrozenAtSnapshot int
+	FrozenAtSnapshot int `json:"frozen_at_snapshot,omitempty"`
 	// Overflow is the RUDY-overflow trajectory, one entry per snapshot.
-	Overflow []float64
-}
-
-// Report converts the stats to the run-report congestion block
-// (obs.CongestionReport mirrors Stats field-for-field; the conversion lives
-// here so dpplace and the daemon's artifact writer share one code path).
-func (s Stats) Report() *obs.CongestionReport {
-	return &obs.CongestionReport{
-		Snapshots:        s.Snapshots,
-		Applied:          s.Applied,
-		InflatedCells:    s.InflatedCells,
-		MaxInflation:     s.MaxInflation,
-		FrozenAtSnapshot: s.FrozenAtSnapshot,
-		Overflow:         s.Overflow,
-	}
+	Overflow []float64 `json:"overflow,omitempty"`
 }
 
 // Controller owns the feedback state between snapshots. Not safe for

@@ -96,16 +96,9 @@ type Options struct {
 	Trace func(TracePoint)
 }
 
-// TracePoint is one outer-iteration snapshot for convergence figures.
-type TracePoint struct {
-	Outer     int
-	HPWL      float64
-	Overflow  float64
-	AlignRMS  float64
-	Objective float64
-	Lambda    float64
-	Alpha     float64
-}
+// TracePoint is one outer-iteration snapshot for convergence figures: the
+// same point the flight recorder's trajectory collects.
+type TracePoint = obs.TrajectoryPoint
 
 // Result reports the global placement outcome.
 type Result struct {
@@ -324,7 +317,6 @@ type engine struct {
 
 	hard          bool
 	lambda, alpha float64
-	funcEvals     int
 }
 
 func newEngine(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Options) *engine {
@@ -641,7 +633,6 @@ func (e *engine) updateCell(c int, v []float64) {
 // re-evaluated for its gradient), the stored wirelength and density values
 // and gradients are reused instead of recomputed.
 func (e *engine) eval(v, grad []float64) float64 {
-	e.funcEvals++
 	e.refresh(v)
 	withGrad := grad != nil
 	if withGrad {
@@ -877,9 +868,8 @@ func (e *engine) innerOpts(ctx context.Context, rec *obs.Recorder, outer int, st
 		Ctx:      ctx,
 	}
 	if rec.Active() {
-		oo.Callback = func(iter int, f, gnorm float64) bool {
+		oo.Callback = func(iter int, f, gnorm float64) {
 			rec.SolverIter("global", outer, iter, f, gnorm)
-			return true
 		}
 		oo.OnEvent = func(ev opt.Event) {
 			rec.SolverEvent("global", outer, ev.Kind, ev.Iter, ev.F, ev.Step)
@@ -1002,7 +992,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		res.FuncEvals += r.FuncEvals
 		res.OuterIters = outer + 1
 		res.Diagnostics.Recoveries += r.Recoveries
-		rec.Add("global/recoveries", int64(r.Recoveries))
 
 		if r.Diverged || !finiteVec(v) {
 			// The inner solve blew up beyond its own recovery budget: roll
@@ -1046,21 +1035,9 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		} else {
 			sinceBest++
 		}
-		if e.o.Trace != nil {
+		if e.o.Trace != nil || rec.Active() {
 			e.refresh(v)
-			e.o.Trace(TracePoint{
-				Outer:     outer,
-				HPWL:      pl.HPWL(nl),
-				Overflow:  ov,
-				AlignRMS:  AlignmentScore(e.o.Groups, e.core.RowH(), e.cxFull, e.cyFull),
-				Objective: r.F,
-				Lambda:    e.lambda,
-				Alpha:     e.alpha,
-			})
-		}
-		if rec.Active() {
-			e.refresh(v)
-			rec.OuterIter("global", obs.TrajectoryPoint{
+			p := TracePoint{
 				Outer:     outer,
 				Inner:     r.Iters,
 				HPWL:      pl.HPWL(nl),
@@ -1070,7 +1047,11 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 				Lambda:    e.lambda,
 				Alpha:     e.alpha,
 				Gamma:     gamma,
-			})
+			}
+			if e.o.Trace != nil {
+				e.o.Trace(p)
+			}
+			rec.OuterIter("global", p)
 		}
 		if r.Stopped {
 			res.Diagnostics.Partial = true
@@ -1101,7 +1082,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		r := opt.Minimize(e.eval, v, e.innerOpts(ctx, rec, -1, e.stepInit(v)))
 		res.FuncEvals += r.FuncEvals
 		res.Diagnostics.Recoveries += r.Recoveries
-		rec.Add("global/recoveries", int64(r.Recoveries))
 		if r.Stopped {
 			res.Diagnostics.Partial = true
 			stageErr = pipeline.StageError("global", pipeline.ErrTimeout)
@@ -1120,8 +1100,10 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 	res.NetReuses = e.netReuses
 	res.FullEvals = e.fullEvals
 	res.DeltaEvals = e.deltaEvals
-	rec.Add("global/net_recomputes", res.NetRecomputes)
-	rec.Add("global/net_reuses", res.NetReuses)
+	// Recorder counters sum over every solve of a run (each V-cycle level,
+	// a baseline rerun); the Result fields describe this solve alone.
+	rec.Add("global/outer_iters", int64(res.OuterIters))
+	rec.Add("global/func_evals", int64(res.FuncEvals))
 	rec.Add("global/evals_full", res.FullEvals)
 	rec.Add("global/evals_delta", res.DeltaEvals)
 	if e.cong != nil {

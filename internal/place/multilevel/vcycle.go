@@ -118,7 +118,6 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement, c
 	if fm := nl.NumMovable(); fm > 0 {
 		res.ClusterRatio = float64(res.CoarsestCells) / float64(fm)
 	}
-	rec.Add("multilevel/levels", int64(res.Levels))
 	rec.Add("multilevel/coarsest_cells", int64(res.CoarsestCells))
 	rec.Logf(obs.Debug, "multilevel", "%d levels, coarsest %d movable cells (ratio %.3f)",
 		res.Levels, res.CoarsestCells, res.ClusterRatio)

@@ -148,7 +148,6 @@ func globalRoute(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement
 	rec := obs.From(ctx)
 	sp := rec.Span("route")
 	sp.Add("segments", int64(len(segs)))
-	sp.Add("skipped_nets", int64(res.SkippedNets))
 
 	r.paths = make([][]grEdgeRef, len(segs))
 	for si := range segs {

@@ -33,28 +33,19 @@ func writeSpecFile(path string, spec *JobSpec) error {
 // enabled daemon); it lands in the additive metrics_snapshot section.
 func writeJobReport(path, design string, mode core.Mode, res *core.Result, mrep *metrics.Report, runErr error, rec *obs.Recorder, snapshot map[string]float64) error {
 	out := res.RunReport(design, mode, pipeline.Classify(runErr), rec)
-	if mrep != nil {
-		out.Metrics = mrep
-	}
+	out.Metrics = mrep
 	out.MetricsSnapshot = snapshot
-	if err := obs.WriteReportFile(path, out); err != nil {
+	if err := core.WriteReportFile(path, out); err != nil {
 		return fmt.Errorf("serve: job report: %w", err)
 	}
 	return nil
 }
 
 // writePlacementFile writes the legal placement in Bookshelf .pl format.
+// When the writer refuses the design, no file is created.
 func writePlacementFile(path string, d *bookshelf.Design, res *core.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("serve: placement file: %w", err)
-	}
-	if err := bookshelf.WritePl(f, d.Netlist, res.Placement); err != nil {
-		f.Close()
+	if err := bookshelf.WritePlFile(path, d.Netlist, res.Placement); err != nil {
 		return fmt.Errorf("serve: write placement: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("serve: close placement: %w", err)
 	}
 	return nil
 }

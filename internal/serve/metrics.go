@@ -1,7 +1,9 @@
 package serve
 
 import (
-	"repro/internal/obs"
+	"time"
+
+	"repro/internal/core"
 	obsmetrics "repro/internal/obs/metrics"
 )
 
@@ -18,12 +20,10 @@ var (
 	rejectReasonLabels = []string{"draining", "queue_full", "too_large", "malformed"}
 	// retryClassLabels are the retryable slices of the pipeline taxonomy.
 	retryClassLabels = []string{"diverged", "degenerate-groups"}
-	// healthKindLabels are the solver health-guard event kinds folded from
-	// per-job recorders.
+	// healthKindLabels are the solver health-guard event kinds.
 	healthKindLabels = []string{"rollbacks", "re_anneals", "baseline_reruns"}
-	// stageLabels are the pipeline stages with a wall-time series. Span names
-	// outside this list (per-level multilevel spans) are skipped to keep the
-	// label set bounded.
+	// stageLabels are the pipeline stages with a wall-time series: the whole
+	// core.PlaceCtx call, its four stages, and the evaluation.
 	stageLabels = []string{"place", "extract", "global", "legalize", "detail", "metrics"}
 )
 
@@ -139,24 +139,32 @@ func (m *serverMetrics) jobState(state string) {
 	m.jobsTotal.With(state).Inc()
 }
 
-// observeStage records one pipeline span's wall time, skipping span names
-// outside the bounded stage enum (per-level multilevel spans would otherwise
-// mint unbounded label values).
-func (m *serverMetrics) observeStage(name string, seconds float64) {
-	switch name {
-	case "place", "extract", "global", "legalize", "detail", "metrics":
-		m.stageSeconds.With(name).Observe(seconds)
+// observeResult records one attempt's pipeline series from its result: the
+// wall time of each core stage that ran (a stage that did not run has a zero
+// time), the degradations, and the health events of the solve whose
+// placement the attempt returns. A "global"-stage degradation marks the
+// baseline rerun after a diverged structure-aware solve.
+func (m *serverMetrics) observeResult(res *core.Result) {
+	for _, st := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"extract", res.Times.Extract},
+		{"global", res.Times.Global},
+		{"legalize", res.Times.Legalize},
+		{"detail", res.Times.Detail},
+	} {
+		if st.d > 0 {
+			m.stageSeconds.With(st.name).Observe(st.d.Seconds())
+		}
 	}
-}
-
-// foldRecorder folds one finished attempt's recorder counters into the fleet
-// registry: total degradations plus the health-guard event totals. Only
-// whole-run totals are folded (the per-event SolverEvent keys stay in the
-// per-job report) so nothing is double counted.
-func (m *serverMetrics) foldRecorder(rec *obs.Recorder) {
-	c := rec.Counters()
-	m.degradations.Add(c["degradations"])
-	m.healthEvents.With("rollbacks").Add(c["global/rollbacks"])
-	m.healthEvents.With("re_anneals").Add(c["global/re_anneals"])
-	m.healthEvents.With("baseline_reruns").Add(c["global/baseline_reruns"])
+	m.degradations.Add(int64(len(res.Degradations)))
+	diag := res.GlobalResult.Diagnostics
+	m.healthEvents.With("rollbacks").Add(int64(diag.Rollbacks))
+	m.healthEvents.With("re_anneals").Add(int64(diag.ReAnneals))
+	for _, d := range res.Degradations {
+		if d.Stage == "global" {
+			m.healthEvents.With("baseline_reruns").Inc()
+		}
+	}
 }

@@ -142,6 +142,65 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPipelineSeriesFromResults checks the values the daemon reads from each
+// attempt's typed result and from its own grant and release: after one
+// structure-aware job every stage counts once, the budget gauges read the
+// released budget and the job's grant, and dispatch timed one lease; a
+// baseline job then times every stage but extraction.
+func TestPipelineSeriesFromResults(t *testing.T) {
+	reg := obsmetrics.NewRegistry()
+	s := newServer(t, Config{Workers: 2, Metrics: reg})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.Start()
+
+	run := func(spec *JobSpec) View {
+		t.Helper()
+		v, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		got := waitTerminal(t, s, v.ID, 60*time.Second)
+		if got.State != StateDone {
+			t.Fatalf("job ended %s (%s), want done", got.State, got.Error)
+		}
+		waitIdle(t, s, 10*time.Second)
+		return got
+	}
+	expect := func(text string, lines ...string) {
+		t.Helper()
+		for _, want := range lines {
+			if !strings.Contains(text, want+"\n") {
+				t.Errorf("exposition has %q, want %q", grepLine(text, strings.Fields(want)[0]), want)
+			}
+		}
+	}
+
+	job := run(fastSpec("structure-aware", 23))
+	text := scrape(t, ts.URL)
+	for _, stage := range stageLabels {
+		expect(text, fmt.Sprintf(`dpplace_stage_seconds_count{stage=%q} 1`, stage))
+	}
+	expect(text,
+		"dpplaced_par_budget_in_use 0",
+		fmt.Sprintf("dpplaced_par_budget_high_water %d", job.Workers),
+		"dpplaced_par_lease_wait_seconds_count 1",
+	)
+
+	spec := fastSpec("baseline", 29)
+	spec.Options.Mode = "baseline"
+	run(spec)
+	text = scrape(t, ts.URL)
+	for _, stage := range stageLabels {
+		n := 2
+		if stage == "extract" {
+			n = 1
+		}
+		expect(text, fmt.Sprintf(`dpplace_stage_seconds_count{stage=%q} %d`, stage, n))
+	}
+}
+
 // TestDegradationsReachRegistry checks the recorder-to-registry fold: a job
 // whose groups all degrade counts exactly the degradations its report lists.
 func TestDegradationsReachRegistry(t *testing.T) {

@@ -134,17 +134,9 @@ func New(cfg Config) (*Server, error) {
 		rootCancel: rootCancel,
 		dispatched: make(chan struct{}),
 	}
-	// Observation wiring: the budget reports lease waits and occupancy, the
-	// journal reports appends and fsync latency. With a nil registry every
-	// callback lands on inert instruments.
+	// The journal reports appends and fsync latency, which happen under its
+	// lock. With a nil registry every callback lands on inert instruments.
 	s.metrics.budgetWorkers.Set(int64(s.budget.Total()))
-	s.budget.SetHooks(par.BudgetHooks{
-		WaitSeconds: func(sec float64) { s.metrics.leaseWait.Observe(sec) },
-		Occupancy: func(used, hw int) {
-			s.metrics.budgetInUse.Set(int64(used))
-			s.metrics.budgetHighWater.Set(int64(hw))
-		},
-	})
 	journal.Instrument(func(fsyncSec float64) {
 		s.metrics.journalAppends.Inc()
 		s.metrics.journalFsync.Observe(fsyncSec)
@@ -160,12 +152,15 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// syncGauges refreshes the queue-depth and running-jobs gauges from the
-// scheduler state. Caller holds the mutex; call after every mutation of the
-// queue or the running count.
+// syncGauges refreshes the queue-depth, running-jobs and worker-budget
+// gauges from the scheduler state. Caller holds the mutex; call after every
+// mutation of the queue or the running count and after every grant or
+// release of workers, so the budget gauges settle on the last change.
 func (s *Server) syncGauges() {
 	s.metrics.queueDepth.Set(int64(s.queue.Len()))
 	s.metrics.jobsRunning.Set(int64(s.running))
+	s.metrics.budgetInUse.Set(int64(s.budget.InUse()))
+	s.metrics.budgetHighWater.Set(int64(s.budget.HighWater()))
 }
 
 // replay folds journal records into the job table and requeues every job a
@@ -272,17 +267,20 @@ func (s *Server) dispatch() {
 		if job == nil {
 			return // draining or shut down
 		}
+		wait := obs.StartStopwatch()
 		grant, err := s.budget.Acquire(s.rootCtx, wantWorkers(job))
 		if err != nil {
 			// Shutdown while waiting for workers: the job stays queued in
 			// the journal and the next instance requeues it.
 			return
 		}
+		s.metrics.leaseWait.Observe(wait.Seconds())
 		s.mu.Lock()
 		if job.State != StateQueued || s.draining {
 			// Canceled while waiting, or drain began: do not start.
-			s.mu.Unlock()
 			s.budget.Release(grant)
+			s.syncGauges()
+			s.mu.Unlock()
 			continue
 		}
 		// A job that arrived while this one waited for workers may outrank
@@ -296,9 +294,9 @@ func (s *Server) dispatch() {
 		}
 		s.running++
 		s.runners.Add(1)
+		s.budget.Release(excess)
 		s.syncGauges()
 		s.mu.Unlock()
-		s.budget.Release(excess)
 		go s.runJob(job, grant)
 	}
 }
@@ -619,10 +617,10 @@ func signal(ch chan struct{}) {
 // of the shared budget for its whole duration, releasing them at the end.
 func (s *Server) runJob(job *Job, grant int) {
 	defer s.runners.Done()
-	defer s.budget.Release(grant)
 	defer func() {
 		s.mu.Lock()
 		s.running--
+		s.budget.Release(grant)
 		s.syncGauges()
 		s.mu.Unlock()
 	}()
@@ -852,11 +850,9 @@ func (s *Server) place(ctx context.Context, job *Job, spec *JobSpec, workers, re
 	}
 
 	// Per-job recorder: collected counters feed the run report; the JSONL
-	// trace tees into trace.jsonl and the SSE broadcaster. The span hook
-	// bridges per-stage wall times into the fleet stage histograms.
+	// trace tees into trace.jsonl and the SSE broadcaster.
 	rec := obs.New()
 	rec.Collect()
-	rec.SetSpanHook(s.metrics.observeStage)
 	traceFile, err := os.Create(filepath.Join(dir, "trace.jsonl"))
 	if err != nil {
 		return attemptResult{err: fmt.Errorf("serve: trace file: %w", err)}
@@ -876,7 +872,9 @@ func (s *Server) place(ctx context.Context, job *Job, spec *JobSpec, workers, re
 	runCtx, cancel := pipeline.WithBudget(obs.NewContext(ctx, rec), timeout)
 	defer cancel()
 
+	sw := obs.StartStopwatch()
 	res, runErr := core.PlaceCtx(runCtx, d.Netlist, chip, d.Placement, opt)
+	s.metrics.stageSeconds.With("place").Observe(sw.Seconds())
 	out := attemptResult{err: runErr}
 	if res == nil {
 		return out
@@ -889,14 +887,15 @@ func (s *Server) place(ctx context.Context, job *Job, spec *JobSpec, workers, re
 
 	var mrep *metrics.Report
 	if res.LegalityChecked {
+		sw = obs.StartStopwatch()
 		r := metrics.Evaluate(d.Netlist, res.Placement, chip,
 			metrics.Options{Obs: rec, Workers: workers})
+		s.metrics.stageSeconds.With("metrics").Observe(sw.Seconds())
 		mrep = &r
 	}
-	// Fold this attempt's solver health counters into the fleet registry
-	// before snapshotting, so the report's metrics_snapshot includes the work
-	// it describes.
-	s.metrics.foldRecorder(rec)
+	// Record this attempt in the fleet registry before snapshotting, so the
+	// report's metrics_snapshot includes the work it describes.
+	s.metrics.observeResult(res)
 	snapshot := s.cfg.Metrics.Snapshot()
 	if err := writeJobReport(filepath.Join(dir, "report.json"), d.Netlist.Name, opt.Mode, res, mrep, runErr, rec, snapshot); err != nil {
 		s.log.Logf(obs.Warn, "serve", "job %s: %v", job.ID, err)
