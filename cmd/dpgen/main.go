@@ -7,9 +7,9 @@
 //	      [-random 2000] [-pads 16] [-scramble]
 //	dpgen -suite -out ./bench     # write the whole dp01..dp08 suite
 //
-// Numbers out of range exit 2 before anything is written: -bits must lie in
-// [1, 512], -random be >= 0, -pads >= 1, and -units must name a unit unless
-// -random is positive.
+// Usage errors exit 2 before anything is written: -bits must lie in
+// [1, 512], -random be >= 0, -pads >= 1, and -units must list known units
+// and name one unless -random is positive.
 package main
 
 import (
@@ -43,23 +43,8 @@ func main() {
 		return
 	}
 
-	var kinds []gen.UnitKind
-	for _, u := range strings.Split(*units, ",") {
-		switch strings.TrimSpace(u) {
-		case "adder":
-			kinds = append(kinds, gen.Adder)
-		case "muxtree":
-			kinds = append(kinds, gen.MuxTree)
-		case "shifter":
-			kinds = append(kinds, gen.Shifter)
-		case "regbank":
-			kinds = append(kinds, gen.RegBank)
-		case "":
-		default:
-			log.Fatalf("dpgen: unknown unit kind %q", u)
-		}
-	}
-	if err := checkRanges(*bits, *random, *pads, len(kinds)); err != nil {
+	kinds, err := checkRanges(*bits, *random, *pads, *units)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dpgen: %v\n", err)
 		os.Exit(2)
 	}
@@ -69,21 +54,25 @@ func main() {
 	}, *out)
 }
 
-// checkRanges rejects numeric flag values outside their range, which the
-// generator would otherwise silently replace with its default, and a design
-// with no movable cell, which it cannot place in a core.
-func checkRanges(bits, random, pads, units int) error {
+// checkRanges parses the -units list and rejects an unknown unit, numeric
+// flag values outside their range, which the generator would otherwise
+// silently replace with its default, and a design with no movable cell,
+// which it cannot place in a core.
+func checkRanges(bits, random, pads int, units string) ([]gen.UnitKind, error) {
+	kinds, err := gen.ParseUnits(strings.Split(units, ","))
 	switch {
+	case err != nil:
+		return nil, fmt.Errorf("-units: %w", err)
 	case bits < 1 || bits > gen.MaxBits:
-		return fmt.Errorf("-bits %d out of range: must be in [1, %d]", bits, gen.MaxBits)
+		return nil, fmt.Errorf("-bits %d out of range: must be in [1, %d]", bits, gen.MaxBits)
 	case random < 0:
-		return fmt.Errorf("-random %d out of range: must be >= 0", random)
+		return nil, fmt.Errorf("-random %d out of range: must be >= 0", random)
 	case pads < 1:
-		return fmt.Errorf("-pads %d out of range: must be >= 1", pads)
-	case units == 0 && random == 0:
-		return errors.New("-units names no unit and -random is 0: the design would have no movable cell")
+		return nil, fmt.Errorf("-pads %d out of range: must be >= 1", pads)
+	case len(kinds) == 0 && random == 0:
+		return nil, errors.New("-units names no unit and -random is 0: the design would have no movable cell")
 	}
-	return nil
+	return kinds, nil
 }
 
 func write(cfg gen.Config, dir string) {

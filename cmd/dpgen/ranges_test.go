@@ -8,9 +8,10 @@ import (
 )
 
 // TestOutOfRangeFlagsExitUsage runs the built binary with numeric flags just
-// outside and just inside their ranges. An out-of-range value must exit 2
-// with a message naming the flag before anything is written; a boundary
-// value must get past the check.
+// outside and just inside their ranges, and with an unknown unit. An
+// out-of-range value or unknown unit must exit 2 with a message naming the
+// flag before anything is written; a boundary value must get past the
+// check.
 func TestOutOfRangeFlagsExitUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -28,6 +29,7 @@ func TestOutOfRangeFlagsExitUsage(t *testing.T) {
 		cmdtest.Flag("pads", "1", false),
 		{Args: []string{"-units", ",", "-random", "0"}, Flag: "units", Reject: true},
 		{Args: []string{"-units", ",", "-random", "1"}, Flag: "units"},
+		cmdtest.Flag("units", "adder,bogus", true),
 	}
 	out := filepath.Join(t.TempDir(), "out")
 	cmdtest.CheckRanges(t, cmdtest.Build(t), []string{"-units", "adder", "-random", "20", "-out", out}, cases)

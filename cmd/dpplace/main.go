@@ -212,10 +212,33 @@ func printUsage(fs *flag.FlagSet) {
 	}
 }
 
-// checkRanges rejects numeric flag values outside their range, which the
-// engine would otherwise silently replace with its default. The negated
+// modes and degradePolicies map the -mode and -on-degrade names to their
+// options.
+var (
+	modes = map[string]core.Mode{
+		"structure-aware": core.StructureAware,
+		"baseline":        core.Baseline,
+	}
+	degradePolicies = map[string]core.DegradePolicy{
+		"fallback": core.DegradeFallback,
+		"fail":     core.DegradeFail,
+	}
+)
+
+// checkRanges rejects flag values the run cannot use: an unknown -mode,
+// -model or -on-degrade name, and a numeric value outside its range, which
+// the engine would otherwise silently replace with its default. The negated
 // float comparisons reject NaN too.
 func checkRanges(f *cliFlags) error {
+	if _, ok := modes[*f.mode]; !ok {
+		return fmt.Errorf("-mode %q unknown: must be structure-aware or baseline", *f.mode)
+	}
+	if *f.model != "wa" && *f.model != "lse" {
+		return fmt.Errorf("-model %q unknown: must be wa or lse", *f.model)
+	}
+	if _, ok := degradePolicies[*f.onDegrade]; !ok {
+		return fmt.Errorf("-on-degrade %q unknown: must be fallback or fail", *f.onDegrade)
+	}
 	if !(*f.inflateMax > 1) {
 		return fmt.Errorf("-inflate-max %v out of range: must be > 1", *f.inflateMax)
 	}
@@ -329,6 +352,8 @@ func run() int {
 	}
 
 	opt := core.Options{
+		Mode:       modes[*mode],
+		OnDegrade:  degradePolicies[*onDegrade],
 		Timeout:    *timeout,
 		Multilevel: *f.multilevel,
 		MultilevelOpts: multilevel.Options{
@@ -346,23 +371,6 @@ func run() int {
 			},
 		},
 	}
-	switch *mode {
-	case "structure-aware":
-		opt.Mode = core.StructureAware
-	case "baseline":
-		opt.Mode = core.Baseline
-	default:
-		return fatal(exitUsage, "unknown mode %q", *mode)
-	}
-	switch *onDegrade {
-	case "fallback":
-		opt.OnDegrade = core.DegradeFallback
-	case "fail":
-		opt.OnDegrade = core.DegradeFail
-	default:
-		return fatal(exitUsage, "unknown -on-degrade policy %q", *onDegrade)
-	}
-
 	// SIGINT/SIGTERM cancel the run cooperatively: the pipeline stops at its
 	// next checkpoint and returns the best iterate with Partial set, exactly
 	// like a -timeout stop. NotifyContext unregisters on the first signal,

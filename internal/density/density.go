@@ -5,10 +5,10 @@
 //
 // The Potential evaluates through flat SoA kernels (soa.go): per-cell 1-D
 // bell tables with a separable normalization, a branch-free table-driven
-// splat, and a chain-rule gradient over the same tables. The split Value /
-// Gradient API lets the placement engine's delta evaluator reuse a cached
-// objective and still obtain gradients from the stored tables; Eval fuses
-// the two for ordinary callers. Results are bit-identical at every worker
+// splat, and a chain-rule gradient over the same tables. Value computes the
+// objective and keeps its tables; Gradient then differentiates the last
+// Value from them, so a caller that needs only values (a line-search probe)
+// never pays for a gradient. Results are bit-identical at every worker
 // count (SetParallel).
 package density
 
@@ -190,36 +190,17 @@ func bell(d, w, wb float64) (p, dp float64) {
 }
 
 // SetParallel attaches a worker pool (and the context it polls) to the
-// potential. Subsequent Eval calls shard their passes across the pool; a nil
-// pool (the default) keeps evaluation inline on the calling goroutine. The
-// parallel schedule never changes the result: every floating-point
-// accumulation order is fixed by cell and bin indices, not by worker count
-// (see package par). When the context expires mid-evaluation Eval returns
-// NaN, which the optimizer's numerical-health guard already treats as a
-// rejected iterate; the caller's own context polling then stops the solve.
+// potential. Subsequent Value and Gradient calls shard their passes across
+// the pool; a nil pool (the default) keeps evaluation inline on the calling
+// goroutine. The parallel schedule never changes the result: every
+// floating-point accumulation order is fixed by cell and bin indices, not by
+// worker count (see package par). When the context expires mid-pass Value
+// returns NaN and Gradient false, which the optimizer's numerical-health
+// guard already treats as a rejected iterate; the caller's own context
+// polling then stops the solve.
 func (p *Potential) SetParallel(pool *par.Pool, ctx context.Context) {
 	p.pool = pool
 	p.ctx = ctx
-}
-
-// Eval computes N at the cell centers (cx, cy), parallel to nl.Cells, and
-// adds ∂N/∂cx into gx and ∂N/∂cy into gy when they are non-nil. Fixed cells
-// contribute nothing (their blockage already lowered the targets).
-//
-// Eval is the composition of Value and Gradient (soa.go): a table-fill +
-// splat pass producing the objective, then — when a gradient is requested —
-// a chain-rule pass over the same tables. Callers that can prove the
-// coordinates have not changed since the last Value may call Gradient alone;
-// the global-placement engine's delta evaluator does exactly that.
-func (p *Potential) Eval(cx, cy []float64, gx, gy []float64) float64 {
-	n := p.Value(cx, cy)
-	if math.IsNaN(n) || (gx == nil && gy == nil) {
-		return n
-	}
-	if !p.Gradient(gx, gy) {
-		return math.NaN()
-	}
-	return n
 }
 
 // ensureScratch sizes the movable-cell scratch on first use. Cell sizes and
@@ -272,19 +253,12 @@ func effSize(w, wb float64) float64 {
 	return w
 }
 
-// Grid returns the potential's bin grid.
-func (p *Potential) Grid() geom.Grid { return p.grid }
-
-// TargetArea returns the target area of bin idx (after blockage reduction).
-func (p *Potential) TargetArea(idx int) float64 { return p.target[idx] }
-
 // SetAreaScale installs a per-cell area multiplier, indexed by CellID (nil
 // restores the identity). The congestion controller inflates cells in
 // over-demand bins this way: the scaled area enters only the kernel
 // normalization of the next Value pass, so the bell support and the SoA table
 // layout (§14 contract) are untouched. The slice is retained, not copied —
 // the caller owns it and must not mutate it mid-evaluation. Changing the
-// scale changes the objective at unchanged coordinates; callers that cache
-// density values or gradients (the placement engine) must invalidate those
-// caches themselves.
+// scale changes the objective at unchanged coordinates, so a Gradient
+// differentiates the new scale only after the next Value.
 func (p *Potential) SetAreaScale(scale []float64) { p.areaScale = scale }

@@ -163,14 +163,15 @@ func TestPotentialGradientMatchesFD(t *testing.T) {
 	p, cx, cy := potentialSetup(6, 3)
 	gx := make([]float64, len(cx))
 	gy := make([]float64, len(cy))
-	p.Eval(cx, cy, gx, gy)
+	p.Value(cx, cy)
+	p.Gradient(gx, gy)
 	const h = 1e-5
 	for i := range cx {
 		orig := cx[i]
 		cx[i] = orig + h
-		fp := p.Eval(cx, cy, nil, nil)
+		fp := p.Value(cx, cy)
 		cx[i] = orig - h
-		fm := p.Eval(cx, cy, nil, nil)
+		fm := p.Value(cx, cy)
 		cx[i] = orig
 		fd := (fp - fm) / (2 * h)
 		// The analytic gradient freezes the normalization constant, so allow
@@ -191,7 +192,7 @@ func TestPotentialDecreasesWhenSpreading(t *testing.T) {
 	for i := range cx {
 		cx[i], cy[i] = 50, 50
 	}
-	stacked := p.Eval(cx, cy, nil, nil)
+	stacked := p.Value(cx, cy)
 	k := 0
 	for j := 0; j < 4; j++ {
 		for i := 0; i < 4; i++ {
@@ -200,7 +201,7 @@ func TestPotentialDecreasesWhenSpreading(t *testing.T) {
 			k++
 		}
 	}
-	spread := p.Eval(cx, cy, nil, nil)
+	spread := p.Value(cx, cy)
 	if spread >= stacked {
 		t.Errorf("spreading did not reduce potential: stacked=%g spread=%g", stacked, spread)
 	}
@@ -222,7 +223,8 @@ func TestPotentialGradientPushesAwayFromPile(t *testing.T) {
 	cx[probe] = 42 // left of the pile
 	gx := make([]float64, n)
 	gy := make([]float64, n)
-	p.Eval(cx, cy, gx, gy)
+	p.Value(cx, cy)
+	p.Gradient(gx, gy)
 	// gx is ∂N/∂x: positive means the objective rises toward the pile, so
 	// gradient descent moves the probe left, away from it.
 	if gx[probe] <= 0 {
@@ -239,10 +241,10 @@ func TestPotentialFixedBlockageReducesTarget(t *testing.T) {
 	pl.SetLoc(0, geom.Point{X: 0, Y: 0})
 	g := geom.NewGrid(geom.NewRect(0, 0, 100, 100), 10, 10)
 	p := NewPotential(nl, pl, g, 1.0)
-	if got := p.TargetArea(g.Index(0, 0)); got != 0 {
+	if got := p.target[g.Index(0, 0)]; got != 0 {
 		t.Errorf("blocked bin target = %g, want 0", got)
 	}
-	if got := p.TargetArea(g.Index(5, 5)); got != 100 {
+	if got := p.target[g.Index(5, 5)]; got != 100 {
 		t.Errorf("free bin target = %g, want 100", got)
 	}
 }
@@ -263,7 +265,7 @@ func TestPotentialConservesArea(t *testing.T) {
 		cx[i] = 25 + rng.Float64()*50
 		cy[i] = 25 + rng.Float64()*50
 	}
-	p.Eval(cx, cy, nil, nil)
+	p.Value(cx, cy)
 	total := 0.0
 	for _, d := range p.dens {
 		total += d
@@ -274,7 +276,7 @@ func TestPotentialConservesArea(t *testing.T) {
 	}
 }
 
-func BenchmarkPotentialEval(b *testing.B) {
+func BenchmarkPotentialValueGradient(b *testing.B) {
 	n := 1000
 	nl := netlist.New("bench")
 	for i := 0; i < n; i++ {
@@ -294,7 +296,8 @@ func BenchmarkPotentialEval(b *testing.B) {
 	gy := make([]float64, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Eval(cx, cy, gx, gy)
+		p.Value(cx, cy)
+		p.Gradient(gx, gy)
 	}
 }
 
@@ -334,14 +337,15 @@ func TestPotentialParallelMatchesSerial(t *testing.T) {
 		serial := NewPotential(nl, pl, g, 0.5)
 		gxS := make([]float64, n)
 		gyS := make([]float64, n)
-		fS := serial.Eval(cx, cy, gxS, gyS)
+		fS := serial.Value(cx, cy)
+		serial.Gradient(gxS, gyS)
 
 		for _, workers := range []int{2, 3, 4, 8} {
 			p := NewPotential(nl, pl, g, 0.5)
 			p.SetParallel(par.New(workers), context.Background())
 			gx := make([]float64, n)
 			gy := make([]float64, n)
-			if f := p.Eval(cx, cy, gx, gy); f != fS {
+			if f := p.Value(cx, cy); f != fS {
 				t.Fatalf("NY=%d workers=%d: N = %v, serial %v", c.ny, workers, f, fS)
 			}
 			for i := range p.dens {
@@ -350,14 +354,12 @@ func TestPotentialParallelMatchesSerial(t *testing.T) {
 						c.ny, workers, i, p.dens[i], serial.dens[i])
 				}
 			}
+			p.Gradient(gx, gy)
 			for i := range gx {
 				if gx[i] != gxS[i] || gy[i] != gyS[i] {
 					t.Fatalf("NY=%d workers=%d: grad[%d] = (%v,%v), serial (%v,%v)",
 						c.ny, workers, i, gx[i], gy[i], gxS[i], gyS[i])
 				}
-			}
-			if f := p.Eval(cx, cy, nil, nil); f != fS {
-				t.Fatalf("NY=%d workers=%d no-grad: N = %v, serial %v", c.ny, workers, f, fS)
 			}
 		}
 	}
@@ -373,7 +375,7 @@ func TestPotentialCancelledContextPoisons(t *testing.T) {
 	p.SetParallel(par.New(4), ctx)
 	cx := make([]float64, 20)
 	cy := make([]float64, 20)
-	if f := p.Eval(cx, cy, nil, nil); !math.IsNaN(f) {
-		t.Fatalf("cancelled Eval returned %v, want NaN", f)
+	if f := p.Value(cx, cy); !math.IsNaN(f) {
+		t.Fatalf("cancelled Value returned %v, want NaN", f)
 	}
 }

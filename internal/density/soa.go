@@ -18,10 +18,9 @@ import "math"
 // slots owned by that cell (fixed CSR table ranges, gradient components);
 // the splat gives each worker a contiguous band of bin rows and visits the
 // cells in ascending order inside it, so every bin receives the serial
-// cell-order accumulation bit for bit. Value must run before Gradient at
-// the same coordinates — Eval composes the two; the split exists so the
-// engine's delta evaluator can reuse a cached value and still get a fresh
-// gradient from the stored tables.
+// cell-order accumulation bit for bit. Gradient differentiates the last
+// Value from its stored tables, so a line-search probe pays for the value
+// alone and an accepted iterate for the gradient alone.
 
 // axisTables is the per-axis half of the SoA scratch: the bell constants of
 // every movable cell and its current table fill.

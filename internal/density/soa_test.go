@@ -79,50 +79,6 @@ func TestAxisTablesMatchBell(t *testing.T) {
 	}
 }
 
-// TestValueGradientSplitMatchesEval checks the split API against the fused
-// wrapper bitwise: Value-then-Gradient must equal Eval, and a second
-// Gradient from the same tables must reproduce the same components.
-func TestValueGradientSplitMatchesEval(t *testing.T) {
-	nl, pl, grid := soaProblem(9, 120)
-	cx := make([]float64, len(nl.Cells))
-	cy := make([]float64, len(nl.Cells))
-	for i := range nl.Cells {
-		cx[i] = pl.X[i] + nl.Cells[i].W/2
-		cy[i] = pl.Y[i] + nl.Cells[i].H/2
-	}
-	pe := NewPotential(nl, pl, grid, 0.9)
-	gxE := make([]float64, len(nl.Cells))
-	gyE := make([]float64, len(nl.Cells))
-	fE := pe.Eval(cx, cy, gxE, gyE)
-
-	ps := NewPotential(nl, pl, grid, 0.9)
-	fS := ps.Value(cx, cy)
-	if fS != fE {
-		t.Fatalf("Value %v != Eval %v", fS, fE)
-	}
-	gxS := make([]float64, len(nl.Cells))
-	gyS := make([]float64, len(nl.Cells))
-	if !ps.Gradient(gxS, gyS) {
-		t.Fatal("Gradient reported cancellation without a context")
-	}
-	for i := range gxS {
-		if gxS[i] != gxE[i] || gyS[i] != gyE[i] {
-			t.Fatalf("cell %d: split grad (%v,%v) != fused (%v,%v)",
-				i, gxS[i], gyS[i], gxE[i], gyE[i])
-		}
-	}
-
-	// Gradient-only reuse: same tables, fresh accumulators, same bits.
-	gx2 := make([]float64, len(nl.Cells))
-	gy2 := make([]float64, len(nl.Cells))
-	ps.Gradient(gx2, gy2)
-	for i := range gx2 {
-		if gx2[i] != gxS[i] || gy2[i] != gyS[i] {
-			t.Fatalf("cell %d: repeated Gradient diverged", i)
-		}
-	}
-}
-
 // TestGradientBeforeValuePanics pins the misuse contract: the gradient pass
 // reads tables and residuals that only a Value pass writes.
 func TestGradientBeforeValuePanics(t *testing.T) {
@@ -163,10 +119,9 @@ func TestValueSerialMatchesBandTiled(t *testing.T) {
 	}
 }
 
-// BenchmarkDensitySoA measures the table-driven potential: the fused
-// value+gradient evaluation (the line-search-probe unit of work before
-// value-only probes existed), value alone (a probe), and gradient-only from
-// stored tables (the accepted-iterate pattern).
+// BenchmarkDensitySoA measures the table-driven potential: a value and its
+// gradient (the start of a solve, a rollback), value alone (a line-search
+// probe), and gradient-only from stored tables (an accepted iterate).
 func BenchmarkDensitySoA(b *testing.B) {
 	nl, pl, grid := soaProblem(7, 2000)
 	cx := make([]float64, len(nl.Cells))
@@ -178,11 +133,12 @@ func BenchmarkDensitySoA(b *testing.B) {
 	p := NewPotential(nl, pl, grid, 0.9)
 	gx := make([]float64, len(nl.Cells))
 	gy := make([]float64, len(nl.Cells))
-	p.Eval(cx, cy, gx, gy)
+	p.Value(cx, cy) // sizes the scratch outside the timed loops
 
 	b.Run("value+grad", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.Eval(cx, cy, gx, gy)
+			p.Value(cx, cy)
+			p.Gradient(gx, gy)
 		}
 	})
 	b.Run("value-only", func(b *testing.B) {

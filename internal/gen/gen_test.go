@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/datapath"
@@ -229,5 +230,22 @@ func TestUnitKindString(t *testing.T) {
 	}
 	if UnitKind(99).String() == "" {
 		t.Error("unknown kind should still print")
+	}
+}
+
+// TestParseUnitsInvertsString parses every kind's String back to the kind,
+// skips blank names and refuses an unknown one.
+func TestParseUnitsInvertsString(t *testing.T) {
+	all := []UnitKind{Adder, MuxTree, Shifter, RegBank}
+	names := []string{"", " "}
+	for _, k := range all {
+		names = append(names, " "+k.String())
+	}
+	got, err := ParseUnits(names)
+	if err != nil || !slices.Equal(got, all) {
+		t.Fatalf("ParseUnits(%q) = %v, %v; want %v", names, got, err, all)
+	}
+	if _, err := ParseUnits([]string{"adder", "bogus"}); err == nil {
+		t.Fatal("an unknown unit parsed")
 	}
 }

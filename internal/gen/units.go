@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/netlist"
 )
@@ -32,6 +33,28 @@ func (k UnitKind) String() string {
 		return "regbank"
 	}
 	return fmt.Sprintf("UnitKind(%d)", int(k))
+}
+
+// ParseUnits is the inverse of String over a list of names: each name,
+// trimmed, maps to the unit kind String gives it, and a blank name is
+// skipped, so the comma list "adder,,muxtree" parses to two units.
+func ParseUnits(names []string) ([]UnitKind, error) {
+	kinds := make([]UnitKind, 0, len(names))
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		k := Adder
+		for k <= RegBank && k.String() != name {
+			k++
+		}
+		if k > RegBank {
+			return nil, fmt.Errorf("unknown unit %q", name)
+		}
+		kinds = append(kinds, k)
+	}
+	return kinds, nil
 }
 
 // unit is a constructed datapath block with unconnected boundary pins that

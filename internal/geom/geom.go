@@ -14,15 +14,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p minus q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
-
 // Manhattan returns the L1 distance between p and q.
 func (p Point) Manhattan(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
@@ -98,20 +89,6 @@ func (r Rect) Intersect(s Rect) Rect {
 
 // Overlap returns the overlap area of r and s.
 func (r Rect) Overlap(s Rect) float64 { return r.Intersect(s).Area() }
-
-// Union returns the bounding box of r and s. Empty inputs are ignored so the
-// zero Rect can be used as an accumulator seed via Expand.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Point{math.Min(r.Lo.X, s.Lo.X), math.Min(r.Lo.Y, s.Lo.Y)},
-		Point{math.Max(r.Hi.X, s.Hi.X), math.Max(r.Hi.Y, s.Hi.Y)},
-	}
-}
-
-// Translate returns r moved by d.
-func (r Rect) Translate(d Point) Rect {
-	return Rect{r.Lo.Add(d), r.Hi.Add(d)}
-}
 
 // Inset returns r shrunk by m on every side. The result may be empty.
 func (r Rect) Inset(m float64) Rect {

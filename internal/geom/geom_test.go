@@ -10,15 +10,6 @@ import (
 func TestPointOps(t *testing.T) {
 	p := Point{1, 2}
 	q := Point{4, 6}
-	if got := p.Add(q); got != (Point{5, 8}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := q.Sub(p); got != (Point{3, 4}) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := p.Dist(q); got != 5 {
-		t.Errorf("Dist = %g, want 5", got)
-	}
 	if got := p.Manhattan(q); got != 7 {
 		t.Errorf("Manhattan = %g, want 7", got)
 	}
@@ -79,10 +70,6 @@ func TestRectIntersectUnion(t *testing.T) {
 	if a.Overlap(b) != 25 {
 		t.Errorf("Overlap = %g, want 25", a.Overlap(b))
 	}
-	u := a.Union(b)
-	if u != NewRect(0, 0, 15, 15) {
-		t.Errorf("Union = %v", u)
-	}
 	disjoint := NewRect(20, 20, 30, 30)
 	if !a.Intersect(disjoint).Empty() {
 		t.Error("disjoint intersect should be empty")
@@ -94,9 +81,6 @@ func TestRectIntersectUnion(t *testing.T) {
 
 func TestRectTranslateInset(t *testing.T) {
 	r := NewRect(0, 0, 10, 10)
-	if got := r.Translate(Point{2, 3}); got != NewRect(2, 3, 12, 13) {
-		t.Errorf("Translate = %v", got)
-	}
 	if got := r.Inset(2); got != NewRect(2, 2, 8, 8) {
 		t.Errorf("Inset = %v", got)
 	}
@@ -112,19 +96,6 @@ func TestOverlapProperties(t *testing.T) {
 		b := NewRect(mod100(x2), mod100(y2), mod100(x3), mod100(y3))
 		ov := a.Overlap(b)
 		return ov == b.Overlap(a) && ov <= a.Area()+1e-9 && ov <= b.Area()+1e-9 && ov >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: union contains both operands.
-func TestUnionContains(t *testing.T) {
-	f := func(x0, y0, x1, y1, x2, y2, x3, y3 float64) bool {
-		a := NewRect(mod100(x0), mod100(y0), mod100(x1), mod100(y1))
-		b := NewRect(mod100(x2), mod100(y2), mod100(x3), mod100(y3))
-		u := a.Union(b)
-		return u.ContainsRect(a) && u.ContainsRect(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -186,24 +157,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestRowSnapX(t *testing.T) {
-	r := Row{Y: 0, X: 10, W: 100, H: 12, SiteW: 2}
-	if got := r.SnapX(15.4, 4); got != 16 {
-		t.Errorf("SnapX(15.4) = %g, want 16", got)
-	}
-	// Clamped to keep cell inside row.
-	if got := r.SnapX(200, 4); got != 106 {
-		t.Errorf("SnapX(200) = %g, want 106", got)
-	}
-	if got := r.SnapX(-5, 4); got != 10 {
-		t.Errorf("SnapX(-5) = %g, want 10", got)
-	}
-	cont := Row{Y: 0, X: 0, W: 100, H: 12, SiteW: 0}
-	if got := cont.SnapX(33.3, 4); got != 33.3 {
-		t.Errorf("continuous SnapX = %g, want 33.3", got)
-	}
-}
-
 func TestNewCoreRows(t *testing.T) {
 	c := NewCore(NewRect(0, 0, 100, 120), 12, 1)
 	if c.NumRows() != 10 {
@@ -245,15 +198,6 @@ func TestRowIndexAndNearest(t *testing.T) {
 	}
 	if got := c.RowIndex(-5); got != 0 {
 		t.Errorf("RowIndex(-5) = %d (should clamp)", got)
-	}
-	if got := c.NearestRowY(13); got != 12 {
-		t.Errorf("NearestRowY(13) = %g, want 12", got)
-	}
-	if got := c.NearestRowY(23); got != 24 {
-		t.Errorf("NearestRowY(23) = %g, want 24", got)
-	}
-	if got := c.NearestRowY(1000); got != 108 {
-		t.Errorf("NearestRowY(1000) = %g, want 108", got)
 	}
 }
 

@@ -25,18 +25,6 @@ func (r Row) Top() float64 { return r.Y + r.H }
 // Rect returns the row extent as a rectangle.
 func (r Row) Rect() Rect { return NewRect(r.X, r.Y, r.Right(), r.Top()) }
 
-// SnapX quantizes x to the row's site grid, clamped into the row span so a
-// cell of width w stays inside the row.
-func (r Row) SnapX(x, w float64) float64 {
-	x = Clamp(x, r.X, r.Right()-w)
-	if r.SiteW <= 0 {
-		return x
-	}
-	n := math.Round((x - r.X) / r.SiteW)
-	x = r.X + n*r.SiteW
-	return Clamp(x, r.X, r.Right()-w)
-}
-
 // Core models the chip core area: the placeable region plus its uniform row
 // structure. All placement stages share one Core.
 type Core struct {
@@ -89,21 +77,6 @@ func (c *Core) RowIndex(y float64) int {
 		i = len(c.Rows) - 1
 	}
 	return i
-}
-
-// NearestRowY returns the bottom Y of the row nearest to y.
-func (c *Core) NearestRowY(y float64) float64 {
-	if len(c.Rows) == 0 {
-		return y
-	}
-	i := c.RowIndex(y)
-	// RowIndex clamps downward; check the neighbor above for the rounding
-	// boundary between two rows.
-	if i+1 < len(c.Rows) &&
-		math.Abs(c.Rows[i+1].Y-y) < math.Abs(c.Rows[i].Y-y) {
-		i++
-	}
-	return c.Rows[i].Y
 }
 
 // Area returns the total placeable row area.

@@ -34,12 +34,6 @@ func (p *Placement) Clone() *Placement {
 	return q
 }
 
-// CopyFrom overwrites p with q's coordinates.
-func (p *Placement) CopyFrom(q *Placement) {
-	copy(p.X, q.X)
-	copy(p.Y, q.Y)
-}
-
 // Loc returns the lower-left corner of cell c.
 func (p *Placement) Loc(c CellID) geom.Point { return geom.Point{X: p.X[c], Y: p.Y[c]} }
 

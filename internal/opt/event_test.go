@@ -82,7 +82,7 @@ func TestOnEventDiverged(t *testing.T) {
 	}
 	x := []float64{3, 4}
 	var kinds []string
-	res := Minimize(allNaN, x, Options{
+	res := Minimize(fn(allNaN), x, Options{
 		MaxIter: 50,
 		OnEvent: func(ev Event) { kinds = append(kinds, ev.Kind) },
 	})

@@ -28,7 +28,8 @@ func cliffQuadratic(x, g []float64) float64 {
 
 func TestLineSearchRejectsInf(t *testing.T) {
 	x := []float64{0}
-	res := Minimize(cliffQuadratic, x, Options{MaxIter: 200, GradTol: 1e-8, StepInit: 50})
+	// The gradient at x is -2, so the first trial step is 50.
+	res := Minimize(fn(cliffQuadratic), x, Options{MaxIter: 200, GradTol: 1e-8, FirstMove: 100})
 	if math.IsInf(res.F, 0) || math.IsNaN(res.F) {
 		t.Fatalf("accepted a non-finite objective: %+v", res)
 	}
@@ -45,7 +46,7 @@ func TestNaNObjectiveAtStartDiverges(t *testing.T) {
 		return math.NaN()
 	}
 	x := []float64{3, 4}
-	res := Minimize(allNaN, x, Options{MaxIter: 50})
+	res := Minimize(fn(allNaN), x, Options{MaxIter: 50})
 	if !res.Diverged {
 		t.Fatalf("always-NaN objective must report Diverged: %+v", res)
 	}

@@ -1,8 +1,9 @@
 // Package opt implements the unconstrained nonlinear optimizer driving
 // analytical global placement: Polak–Ribière+ conjugate gradients with a
 // Barzilai–Borwein initial step and Armijo backtracking line search. The
-// objective is supplied as a closure so the placer can fold wirelength,
-// density and alignment terms together.
+// objective is an Objective: a value at a point, then the gradient of the
+// last value, so the placer folds wirelength, density and alignment terms
+// together and computes their gradients only where the solver uses one.
 //
 // The solver is resilient: it polls an optional context cooperatively (both
 // per iteration and per line-search trial) and runs a numerical-health guard
@@ -20,14 +21,18 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Func evaluates an objective at x and returns its value. When grad is
-// non-nil it also fills grad (same length as x) with the gradient; a nil
-// grad means "value only". The Armijo line search probes trial points value
-// only and evaluates the gradient once, at the accepted iterate: the Armijo
-// test reads just the objective, and objectives with an incremental
-// evaluator (the placement engine) answer value-only probes far cheaper
-// than fused value+gradient ones.
-type Func func(x, grad []float64) float64
+// Objective is the function Minimize descends. Value returns the objective
+// at x. Gradient fills grad (same length as x) with the gradient at the x
+// of the last Value call; Minimize does not modify that x in between. It
+// calls Value then Gradient at the start and after each rollback, Value
+// alone at each line-search probe (the Armijo test reads just the
+// objective), and Gradient alone at each accepted iterate, whose winning
+// probe was the last Value. An objective may therefore keep what its last
+// Value computed and derive the gradient from it.
+type Objective interface {
+	Value(x []float64) float64
+	Gradient(grad []float64)
+}
 
 // maxRecoveries bounds consecutive numerical-health recoveries (NaN/Inf
 // rollback, pathological line-search reset) before Minimize gives up and
@@ -36,9 +41,13 @@ const maxRecoveries = 3
 
 // Options controls Minimize.
 type Options struct {
-	MaxIter  int     // hard iteration cap; 0 means 100
-	GradTol  float64 // stop when ||g||/sqrt(n) < GradTol; 0 means 1e-4
-	StepInit float64 // first trial step; 0 means 1
+	MaxIter int     // hard iteration cap; 0 means 100
+	GradTol float64 // stop when ||g||/sqrt(n) < GradTol; 0 means 1e-4
+	// FirstMove scales the first trial step so the variable with the largest
+	// gradient component at the start moves by FirstMove. The step is 1 when
+	// FirstMove is 0 or the scaled step is not finite and positive (a zero
+	// gradient, an infinite component).
+	FirstMove float64
 	// Callback, when non-nil, observes every accepted iterate.
 	Callback func(iter int, f, gradNorm float64)
 	// Ctx, when non-nil, is polled cooperatively at every iteration and
@@ -82,7 +91,7 @@ type Result struct {
 	Iters      int     // accepted iterations
 	GradNorm   float64 // final RMS gradient norm
 	Converged  bool    // gradient tolerance reached
-	FuncEvals  int     // objective evaluations including line search
+	FuncEvals  int     // Value calls plus the accepted iterates' Gradient calls
 	Stopped    bool    // context expired before convergence or MaxIter
 	Diverged   bool    // health guard exhausted its recoveries
 	Recoveries int     // rollback/damping events performed by the guard
@@ -90,7 +99,7 @@ type Result struct {
 
 // Minimize runs PR+ nonlinear CG from x, overwriting x with the best iterate
 // found.
-func Minimize(f Func, x []float64, opt Options) Result {
+func Minimize(f Objective, x []float64, opt Options) Result {
 	n := len(x)
 	if n == 0 {
 		return Result{Converged: true}
@@ -100,9 +109,6 @@ func Minimize(f Func, x []float64, opt Options) Result {
 	}
 	if opt.GradTol <= 0 {
 		opt.GradTol = 1e-4
-	}
-	if opt.StepInit <= 0 {
-		opt.StepInit = 1
 	}
 
 	g := make([]float64, n)     // current gradient
@@ -116,8 +122,16 @@ func Minimize(f Func, x []float64, opt Options) Result {
 	bestF := math.Inf(1)
 
 	res := Result{}
-	fx := f(x, g)
-	res.FuncEvals++
+	// valueGrad evaluates x and its gradient into g: the start and every
+	// rollback need both.
+	valueGrad := func(x, g []float64) float64 {
+		fx := f.Value(x)
+		f.Gradient(g)
+		res.FuncEvals++
+		return fx
+	}
+	fx := valueGrad(x, g)
+	step := firstStep(g, opt.FirstMove)
 	if faultinject.Hit(faultinject.SiteOptNaNGrad) {
 		g[0] = math.NaN()
 	}
@@ -125,7 +139,6 @@ func Minimize(f Func, x []float64, opt Options) Result {
 		d[i] = -g[i]
 	}
 	gg := dot(g, g)
-	step := opt.StepInit
 	if isFinite(fx) && isFinite(gg) {
 		bestF = fx
 		copy(bestX, x)
@@ -154,8 +167,7 @@ func Minimize(f Func, x []float64, opt Options) Result {
 			consecutive++
 			res.Recoveries++
 			copy(x, bestX)
-			fx = f(x, g)
-			res.FuncEvals++
+			fx = valueGrad(x, g)
 			if faultinject.Hit(faultinject.SiteOptNaNGrad) {
 				g[0] = math.NaN()
 			}
@@ -205,7 +217,7 @@ func Minimize(f Func, x []float64, opt Options) Result {
 			for i := range xTrial {
 				xTrial[i] = x[i] + alpha*d[i]
 			}
-			fNew = f(xTrial, nil)
+			fNew = f.Value(xTrial)
 			res.FuncEvals++
 			// Reject non-finite trial objectives outright: an Inf (or a NaN
 			// compared against a NaN fx) must never be accepted, even when it
@@ -240,8 +252,7 @@ func Minimize(f Func, x []float64, opt Options) Result {
 				res.Recoveries++
 				if bestF < fx {
 					copy(x, bestX)
-					fx = f(x, g)
-					res.FuncEvals++
+					fx = valueGrad(x, g)
 					gg = dot(g, g)
 				}
 				for i := range d {
@@ -261,10 +272,8 @@ func Minimize(f Func, x []float64, opt Options) Result {
 		}
 		consecutive = 0
 
-		// The accepted trial was probed without its gradient; evaluate it
-		// now. A deterministic f returns the identical objective, so fNew
-		// stands and only gTrial is consumed.
-		f(xTrial, gTrial)
+		// The accepted trial was the last point valued; take its gradient.
+		f.Gradient(gTrial)
 		res.FuncEvals++
 		copy(gPrev, g)
 		copy(g, gTrial)
@@ -316,6 +325,22 @@ func Minimize(f Func, x []float64, opt Options) Result {
 	res.F = fx
 	res.GradNorm = math.Sqrt(gg) / sqrtN
 	return res
+}
+
+// firstStep returns the step that moves the largest gradient component of
+// g by move, ignoring NaN components, or 1 when that step is not finite and
+// positive.
+func firstStep(g []float64, move float64) float64 {
+	maxG := 0.0
+	for _, gv := range g {
+		if a := math.Abs(gv); a > maxG {
+			maxG = a
+		}
+	}
+	if s := move / maxG; s > 0 && !math.IsInf(s, 0) {
+		return s
+	}
+	return 1
 }
 
 func isFinite(v float64) bool {

@@ -6,9 +6,26 @@ import (
 	"testing"
 )
 
+// closure adapts a one-closure objective, which fills grad when it is
+// non-nil, to Objective: Value remembers x, and Gradient evaluates the
+// closure there.
+type closure struct {
+	f func(x, grad []float64) float64
+	x []float64
+}
+
+func fn(f func(x, grad []float64) float64) *closure { return &closure{f: f} }
+
+func (c *closure) Value(x []float64) float64 {
+	c.x = append(c.x[:0], x...)
+	return c.f(x, nil)
+}
+
+func (c *closure) Gradient(grad []float64) { c.f(c.x, grad) }
+
 // quadratic builds f(x) = sum c_i (x_i - t_i)^2 with analytic gradient.
-func quadratic(c, t []float64) Func {
-	return func(x, grad []float64) float64 {
+func quadratic(c, t []float64) *closure {
+	return fn(func(x, grad []float64) float64 {
 		f := 0.0
 		for i := range x {
 			d := x[i] - t[i]
@@ -18,7 +35,7 @@ func quadratic(c, t []float64) Func {
 			}
 		}
 		return f
-	}
+	})
 }
 
 func TestMinimizeQuadratic(t *testing.T) {
@@ -54,7 +71,9 @@ func TestMinimizeRosenbrock(t *testing.T) {
 		return f
 	}
 	x := []float64{-1.2, 1}
-	res := Minimize(rosen, x, Options{MaxIter: 5000, GradTol: 1e-7, StepInit: 0.001})
+	// The largest gradient component at x is 215.6, so the first trial step
+	// is 0.001.
+	res := Minimize(fn(rosen), x, Options{MaxIter: 5000, GradTol: 1e-7, FirstMove: 0.2156})
 	if math.Abs(x[0]-1) > 1e-2 || math.Abs(x[1]-1) > 1e-2 {
 		t.Fatalf("Rosenbrock minimum missed: x=%v res=%+v", x, res)
 	}
@@ -76,7 +95,7 @@ func TestMinimizeRespectsMaxIter(t *testing.T) {
 }
 
 func TestMinimizeEmptyInput(t *testing.T) {
-	res := Minimize(func(x, g []float64) float64 { return 0 }, nil, Options{})
+	res := Minimize(fn(func(x, g []float64) float64 { return 0 }), nil, Options{})
 	if !res.Converged {
 		t.Error("empty input should converge trivially")
 	}
@@ -132,7 +151,9 @@ func TestMinimizeSmoothedAbs(t *testing.T) {
 		return total
 	}
 	x := []float64{5, -7, 3}
-	res := Minimize(f, x, Options{MaxIter: 2000, GradTol: 1e-5, StepInit: 1})
+	// The largest gradient component at x is about 1, so the first trial
+	// step is about 1.
+	res := Minimize(fn(f), x, Options{MaxIter: 2000, GradTol: 1e-5, FirstMove: 1})
 	for i := range x {
 		if math.Abs(x[i]) > 0.05 {
 			t.Fatalf("x[%d] = %g not near 0 (res=%+v)", i, x[i], res)

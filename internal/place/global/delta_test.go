@@ -1,83 +1,80 @@
 package global
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// TestDeltaMatchesFullRecomputation is the property test behind incremental
-// evaluation: over randomized move/probe sequences — partial-variable
-// perturbations (each a moved point, so every cache drops), repeated probes
-// at an unchanged point, value-only probes, gradient evaluations and
-// occasional γ changes — the incremental engine must return the
-// bit-identical objective and gradient a fresh engine computes from scratch
-// at the same point, at every worker count. Runs under -race via `make race`
-// to also exercise the pool passes that fill the cached state.
+// TestDeltaMatchesFullRecomputation is the property behind the engine's
+// Objective contract: over random sequences of moves, γ and λ changes,
+// value-only probes and repeated gradients, every Value, and every Gradient
+// after it, returns the bits a fresh engine computes at the same point.
+// The gradient pass reuses the exponentials and density tables the value
+// pass stored, so this is what makes that reuse exact. It runs at workers
+// 1, 2 and 4, plain and with soft-alignment groups, and under -race in CI
+// to also exercise the pool passes that fill the stored state.
 func TestDeltaMatchesFullRecomputation(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		nl, pl, core := randProblem(21, 140, 190)
-		e := testEngine(nl, pl, core, Options{Workers: workers})
-		e.lambda = 0.6
-		v := make([]float64, e.nVars)
-		e.initVars(v)
-		gamma := 4.0
+		for _, soft := range []bool{false, true} {
+			nl, pl, core := randProblem(21, 140, 190)
+			o := Options{Workers: workers}
+			if soft {
+				nl, pl, core, o.Groups = gatherProblem(21)
+				o.AlignMode = AlignSoft
+			}
+			e := testEngine(nl, pl, core, o)
+			e.lambda = 0.6
+			if soft {
+				e.alpha = 0.3
+			}
+			v := make([]float64, e.nVars)
+			e.initVars(v)
 
-		// reference evaluates v from scratch on a fresh engine each time.
-		reference := func(grad []float64) float64 {
-			f := testEngine(nl, pl, core, Options{Workers: workers})
-			f.setGamma(gamma)
-			f.lambda = 0.6
-			f.noReuse = true
-			return f.eval(v, grad)
-		}
+			// fresh evaluates v on a new engine with e's γ, λ and α.
+			gRef := make([]float64, e.nVars)
+			fresh := func() float64 {
+				f := testEngine(nl, pl, core, o)
+				f.gamma, f.lambda, f.alpha = e.gamma, e.lambda, e.alpha
+				val := f.Value(v)
+				f.Gradient(gRef)
+				return val
+			}
+			name := fmt.Sprintf("workers=%d soft=%v", workers, soft)
+			rng := rand.New(rand.NewSource(int64(workers)))
+			g := make([]float64, e.nVars)
+			for step := 0; step < 40; step++ {
+				switch op := rng.Intn(10); {
+				case op < 5: // perturb a small random subset of variables
+					for k := 0; k < 1+rng.Intn(8); k++ {
+						v[rng.Intn(e.nVars)] += (rng.Float64() - 0.5) * 3
+					}
+				case op < 7: // perturb a single variable (line-search-like move)
+					v[rng.Intn(e.nVars)] += (rng.Float64() - 0.5) * 0.25
+				case op < 8: // γ anneal
+					e.gamma *= 0.9
+				case op < 9: // next λ stage
+					e.lambda *= 2
+				default: // no move: value the same point again
+				}
 
-		rng := rand.New(rand.NewSource(int64(workers)))
-		gRef := make([]float64, e.nVars)
-		gInc := make([]float64, e.nVars)
-		for step := 0; step < 40; step++ {
-			switch op := rng.Intn(10); {
-			case op < 5: // perturb a small random subset of variables
-				for k := 0; k < 1+rng.Intn(8); k++ {
-					v[rng.Intn(e.nVars)] += (rng.Float64() - 0.5) * 3
+				f, fRef := e.Value(v), fresh()
+				if f != fRef {
+					t.Fatalf("%s step %d: objective %v != fresh engine %v", name, step, f, fRef)
 				}
-			case op < 7: // perturb a single variable (line-search-like move)
-				v[rng.Intn(e.nVars)] += (rng.Float64() - 0.5) * 0.25
-			case op < 8: // γ anneal: dirties every net
-				gamma *= 0.9
-				e.setGamma(gamma)
-			default: // no move: probe the same point again
-			}
-
-			if rng.Intn(3) == 0 { // value-only probe
-				fInc := e.eval(v, nil)
-				fRef := reference(nil)
-				if fInc != fRef {
-					t.Fatalf("workers=%d step %d: value-only delta %v != full %v",
-						workers, step, fInc, fRef)
+				if rng.Intn(3) == 0 { // a value-only probe
+					continue
 				}
-				continue
-			}
-			fInc := e.eval(v, gInc)
-			fRef := reference(gRef)
-			if fInc != fRef {
-				t.Fatalf("workers=%d step %d: delta objective %v != full %v",
-					workers, step, fInc, fRef)
-			}
-			for i := range gInc {
-				if gInc[i] != gRef[i] {
-					t.Fatalf("workers=%d step %d: delta grad[%d] %v != full %v",
-						workers, step, i, gInc[i], gRef[i])
+				for range 1 + rng.Intn(2) { // a gradient, sometimes taken twice
+					e.Gradient(g)
+					for i := range g {
+						if g[i] != gRef[i] {
+							t.Fatalf("%s step %d: grad[%d] %v != fresh engine %v",
+								name, step, i, g[i], gRef[i])
+						}
+					}
 				}
 			}
-		}
-		if e.netReuses == 0 {
-			t.Fatalf("workers=%d: sequence exercised no incremental reuse", workers)
-		}
-		if e.deltaEvals == 0 {
-			t.Fatalf("workers=%d: no evaluation was classified as a delta eval", workers)
-		}
-		if e.fullEvals == 0 {
-			t.Fatalf("workers=%d: no evaluation was classified as a full recompute", workers)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -131,8 +132,8 @@ func TestGatherMatchesNetOrderScatter(t *testing.T) {
 		}
 		v := make([]float64, e.nVars)
 		e.initVars(v)
-		e.refresh(v)
-		e.evalWL(true)
+		e.Value(v) // at λ = α = 0 the per-cell gradient is the wirelength's
+		e.cellGradient()
 		wantX, wantY := scatterInNetOrder(e)
 		for c := range wantX {
 			if e.gxFull[c] != wantX[c] || e.gyFull[c] != wantY[c] {
@@ -143,33 +144,33 @@ func TestGatherMatchesNetOrderScatter(t *testing.T) {
 	}
 }
 
-// testEngine builds a fresh engine at γ=4 ready for eval, mirroring the
+// testEngine builds a fresh engine at γ=4 ready for Value, mirroring the
 // state the solver sees mid-schedule.
 func testEngine(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Options) *engine {
 	e := newEngine(nl, pl, core, o)
-	e.setGamma(4)
+	e.gamma = 4
 	return e
 }
 
-// evalAt runs one objective+gradient evaluation of a fresh engine with the
-// given worker count and returns the objective and the gradient vector.
-func evalAt(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Options, lambda float64, noReuse bool) (float64, []float64, []float64) {
+// evalAt runs one Value and Gradient of a fresh engine with the given
+// worker count and returns the objective and the gradient vector.
+func evalAt(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Options, lambda float64) (float64, []float64) {
 	e := testEngine(nl, pl, core, o)
 	e.lambda = lambda
 	v := make([]float64, e.nVars)
 	e.initVars(v)
 	grad := make([]float64, e.nVars)
-	e.noReuse = noReuse
-	f := e.eval(v, grad)
-	return f, grad, v
+	f := e.Value(v)
+	e.Gradient(grad)
+	return f, grad
 }
 
 // TestParallelGradientMatchesSerial is the property test behind the
 // engine's determinism claim: across random netlists and worker counts, the
 // objective and every gradient component of the parallel evaluation equal
-// the serial evaluation bit-for-bit — with and without incremental reuse.
-// Seeds 1–5 are plain random netlists; seed 6 is gatherProblem, with pads,
-// degree-1 nets, repeated pins and hard-alignment groups.
+// the serial evaluation bit-for-bit. Seeds 1–5 are plain random netlists;
+// seed 6 is gatherProblem, with pads, degree-1 nets, repeated pins and
+// hard-alignment groups.
 func TestParallelGradientMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		var nl *netlist.Netlist
@@ -181,67 +182,78 @@ func TestParallelGradientMatchesSerial(t *testing.T) {
 		} else {
 			nl, pl, core, groups = gatherProblem(seed)
 		}
-		fSer, gSer, _ := evalAt(nl, pl, core, Options{Workers: 1, Groups: groups}, 0.7, false)
+		fSer, gSer := evalAt(nl, pl, core, Options{Workers: 1, Groups: groups}, 0.7)
 		for _, workers := range []int{2, 3, 4, 8} {
-			for _, noReuse := range []bool{false, true} {
-				f, g, _ := evalAt(nl, pl, core, Options{Workers: workers, Groups: groups}, 0.7, noReuse)
-				if f != fSer {
-					t.Fatalf("seed %d workers %d noReuse=%v: objective %v != serial %v",
-						seed, workers, noReuse, f, fSer)
-				}
-				for i := range g {
-					if g[i] != gSer[i] {
-						t.Fatalf("seed %d workers %d noReuse=%v: grad[%d] %v != serial %v",
-							seed, workers, noReuse, i, g[i], gSer[i])
-					}
+			f, g := evalAt(nl, pl, core, Options{Workers: workers, Groups: groups}, 0.7)
+			if f != fSer {
+				t.Fatalf("seed %d workers %d: objective %v != serial %v", seed, workers, f, fSer)
+			}
+			for i := range g {
+				if g[i] != gSer[i] {
+					t.Fatalf("seed %d workers %d: grad[%d] %v != serial %v",
+						seed, workers, i, g[i], gSer[i])
 				}
 			}
 		}
 	}
 }
 
-// TestDeltaReuseIsExact verifies an all-clean re-evaluation returns the
-// bit-identical objective and gradient without recomputing any net, that
-// reuse actually happens, and that a γ change dirties every net again.
+// TestDeltaReuseIsExact verifies that the gradient pass, which reuses the
+// exponentials and density tables the last value pass stored, is exact
+// replay: a gradient taken twice returns the same bits; valuing a point
+// again after probing another, with no gradient in between, returns the
+// first objective and gradient; and a γ change reaches the next value pass,
+// while γ restored returns the first bits again.
 func TestDeltaReuseIsExact(t *testing.T) {
 	nl, pl, core := randProblem(42, 150, 200)
 	e := testEngine(nl, pl, core, Options{Workers: 2})
 	e.lambda = 0.5
 	v := make([]float64, e.nVars)
 	e.initVars(v)
+	f1 := e.Value(v)
 	g1 := make([]float64, e.nVars)
-	f1 := e.eval(v, g1)
-	recomps := e.netRecomps
-	if recomps == 0 {
-		t.Fatal("cold evaluation recomputed no nets")
-	}
-
-	g2 := make([]float64, e.nVars)
-	f2 := e.eval(v, g2)
-	if f2 != f1 {
-		t.Fatalf("reused objective %v != original %v", f2, f1)
-	}
-	for i := range g1 {
-		if g2[i] != g1[i] {
-			t.Fatalf("reused grad[%d] %v != original %v", i, g2[i], g1[i])
+	e.Gradient(g1)
+	same := func(what string, f float64, g []float64) {
+		t.Helper()
+		if f != f1 {
+			t.Fatalf("%s: objective %v != first %v", what, f, f1)
+		}
+		for i := range g1 {
+			if g[i] != g1[i] {
+				t.Fatalf("%s: grad[%d] %v != first %v", what, i, g[i], g1[i])
+			}
 		}
 	}
-	if e.netReuses == 0 {
-		t.Fatal("repeated evaluation at the same point reused no nets")
-	}
-	if e.netRecomps != recomps {
-		t.Fatalf("repeated evaluation recomputed %d nets",
-			e.netRecomps-recomps)
-	}
+	g := make([]float64, e.nVars)
+	e.Gradient(g)
+	same("second gradient", f1, g)
 
-	// γ change: every net must be re-evaluated.
-	e.setGamma(2)
-	g3 := make([]float64, e.nVars)
-	e.eval(v, g3)
-	if e.netRecomps != 2*recomps {
-		t.Fatalf("γ change did not dirty every net: %d recomputes, want %d",
-			e.netRecomps, 2*recomps)
+	// A value-only probe elsewhere, then the first point again.
+	w := append([]float64(nil), v...)
+	for i := 0; i < len(w); i += 3 {
+		w[i] += 1.5
 	}
+	if e.Value(w) == f1 {
+		t.Fatal("probe point has the first objective; test proves nothing")
+	}
+	f := e.Value(v)
+	e.Gradient(g)
+	same("revalued point", f, g)
+
+	// γ change: the next value pass computes new exponentials.
+	e.gamma = 2
+	f = e.Value(v)
+	e.Gradient(g)
+	if f == f1 {
+		t.Fatalf("γ change left the objective at %v", f)
+	}
+	if slices.Equal(g, g1) {
+		t.Fatal("γ change left the gradient unchanged")
+	}
+	e.gamma = 4
+	f = e.Value(v)
+	e.Gradient(g)
+	same("γ restored", f, g)
 }
 
 // TestPlaceWorkersBitIdentical runs the full global placement at several
@@ -271,33 +283,39 @@ func TestPlaceWorkersBitIdentical(t *testing.T) {
 
 // TestEvalCancellationPoisons verifies an expired context inside the
 // parallel kernels yields a NaN objective instead of a silently truncated
-// one.
+// one, and a NaN gradient after it.
 func TestEvalCancellationPoisons(t *testing.T) {
 	nl, pl, core := randProblem(3, 80, 100)
 	e := testEngine(nl, pl, core, Options{Workers: 4})
+	e.lambda = 0.5
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e.ctx = ctx
 	e.pot.SetParallel(e.pool, ctx)
 	v := make([]float64, e.nVars)
 	e.initVars(v)
+	if f := e.Value(v); f == f { // NaN != NaN
+		t.Fatalf("cancelled Value returned finite %v, want NaN", f)
+	}
 	g := make([]float64, e.nVars)
-	if f := e.eval(v, g); f == f { // NaN != NaN
-		t.Fatalf("cancelled evaluation returned finite %v, want NaN", f)
+	e.Gradient(g)
+	for i, gi := range g {
+		if gi == gi {
+			t.Fatalf("grad[%d] = %v after a cancelled Value, want NaN", i, gi)
+		}
 	}
 }
 
 // TestRefreshCompletesUnderCancelledContext runs an evaluation under an
-// expired run context (it is poisoned), then the same gradient evaluation
-// under a live one: the second result must equal a fresh engine's at that
-// point. In the cold and moved cases the cancelled evaluation is at a point
-// that moves every variable — the engine's first evaluation, or one after
-// the start point was evaluated — so the coordinate refresh must finish
-// even though its parallel pass shares the pool with the cancelled kernels;
-// otherwise the coordinates would lag vPrev and nothing would repair them.
-// In the gradient-only case a live value-only evaluation at the point comes
-// first, so the cancelled evaluation runs only the gradient passes, which
-// must leave both gradient caches marked stale.
+// expired run context, then one under a live context, which must equal a
+// fresh engine's at that point. In the cold and moved cases the cancelled
+// Value is at a point that moves every variable — on a fresh engine, or one
+// that already evaluated the start point — and the Gradient after it reads
+// no state that Value left unfinished: the density potential panics on a
+// Gradient after an unfinished Value. The live Value and Gradient follow.
+// In the gradient-only case a live Value comes first, so the cancelled call
+// is a Gradient, whose partial passes the live Gradient after it must
+// redo in full.
 func TestRefreshCompletesUnderCancelledContext(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for _, kind := range []string{"cold", "moved", "gradient-only"} {
@@ -309,9 +327,10 @@ func TestRefreshCompletesUnderCancelledContext(t *testing.T) {
 			g := make([]float64, e.nVars)
 			switch kind {
 			case "moved":
-				e.eval(v, g)
+				e.Value(v)
+				e.Gradient(g)
 			case "gradient-only":
-				e.eval(v, nil)
+				e.Value(v)
 			}
 			if kind != "gradient-only" {
 				for i := range v { // move every variable off the placement
@@ -323,18 +342,29 @@ func TestRefreshCompletesUnderCancelledContext(t *testing.T) {
 			cancel()
 			e.ctx = ctx
 			e.pot.SetParallel(e.pool, ctx)
-			if f := e.eval(v, g); f == f { // NaN != NaN
-				t.Fatalf("workers=%d %s: cancelled evaluation returned finite %v", workers, kind, f)
+			if kind != "gradient-only" {
+				if f := e.Value(v); f == f { // NaN != NaN
+					t.Fatalf("workers=%d %s: cancelled Value returned finite %v", workers, kind, f)
+				}
+			}
+			e.Gradient(g)
+			if g[0] == g[0] {
+				t.Fatalf("workers=%d %s: cancelled evaluation left a finite gradient %v", workers, kind, g[0])
 			}
 
 			e.ctx = context.Background()
 			e.pot.SetParallel(e.pool, e.ctx)
-			f := e.eval(v, g)
+			var f float64
+			if kind != "gradient-only" {
+				f = e.Value(v)
+			}
+			e.Gradient(g)
 			ref := testEngine(nl, pl, core, Options{Workers: workers})
 			ref.lambda = 0.5
 			gRef := make([]float64, e.nVars)
-			fRef := ref.eval(v, gRef)
-			if f != fRef {
+			fRef := ref.Value(v)
+			ref.Gradient(gRef)
+			if kind != "gradient-only" && f != fRef {
 				t.Fatalf("workers=%d %s: objective after cancellation %v != fresh engine %v", workers, kind, f, fRef)
 			}
 			for i := range g {
@@ -346,22 +376,22 @@ func TestRefreshCompletesUnderCancelledContext(t *testing.T) {
 	}
 }
 
-// BenchmarkEvalWorkers measures one full objective+gradient evaluation at
-// several worker counts (the benchmark in bench/ reports the whole-flow
-// speedup as global.parallel_speedup).
+// BenchmarkEvalWorkers measures one Value and Gradient at several worker
+// counts (the benchmark in bench/ reports the whole-flow speedup as
+// global.parallel_speedup).
 func BenchmarkEvalWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			nl, pl, core := randProblem(9, 400, 600)
 			e := testEngine(nl, pl, core, Options{Workers: workers})
 			e.lambda = 0.5
-			e.noReuse = true
 			v := make([]float64, e.nVars)
 			e.initVars(v)
 			g := make([]float64, e.nVars)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.eval(v, g)
+				e.Value(v)
+				e.Gradient(g)
 			}
 		})
 	}

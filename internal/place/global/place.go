@@ -110,17 +110,15 @@ type Result struct {
 	// Workers is the resolved worker count the parallel engine ran with
 	// (Options.Workers after the GOMAXPROCS default is applied).
 	Workers int
-	// NetRecomputes and NetReuses count per-net, per-evaluation outcomes of
-	// the incremental (delta) evaluator: a recompute ran the wirelength
-	// kernel because the evaluation point moved (or γ changed); a reuse
-	// served the stored per-net value — and, for gradient evaluations, the
-	// stored per-pin gradients — because neither changed.
+	// NetRecomputes and NetReuses are FullEvals and DeltaEvals times the
+	// nets of degree ≥ 2: the per-net wirelength values computed, and the
+	// per-net exponentials a gradient pass reused instead.
 	NetRecomputes int64
 	NetReuses     int64
-	// FullEvals and DeltaEvals classify whole objective evaluations: full
-	// means every net recomputed (cold start, γ change, a moved point such
-	// as every line-search probe), delta means the nets were reused
-	// (gradient evaluation at an accepted iterate, rollback re-evaluation).
+	// FullEvals and DeltaEvals split FuncEvals. A delta evaluation is an
+	// accepted iterate's gradient, taken from what its winning line-search
+	// probe's value pass stored; every other evaluation (the start of a
+	// solve, each probe, each rollback) runs a full value pass.
 	FullEvals  int64
 	DeltaEvals int64
 	// Congestion summarizes the routability feedback loop when it was
@@ -133,9 +131,9 @@ type Result struct {
 
 // DirtyNetRatio returns net recomputations over total per-net decisions
 // (recomputations + reuses), the headline effectiveness number of the
-// incremental evaluator: 1.0 means no reuse ever happened, values near zero
-// mean almost every evaluation found its point unchanged. Returns 0 when no
-// evaluation ran.
+// incremental evaluator: 1.0 means no gradient reused a value pass, values
+// near zero mean almost every evaluation was an accepted iterate's
+// gradient. Returns 0 when no evaluation ran.
 func (r Result) DirtyNetRatio() float64 {
 	total := r.NetRecomputes + r.NetReuses
 	if total == 0 {
@@ -273,41 +271,28 @@ type engine struct {
 	cellPinW   []float64
 
 	// Wirelength kernel state, CSR-parallel to the pin layout: gathered pin
-	// coordinates, the per-pin exponential scratch of the last value
-	// evaluation, per-net axis states and values, and per-pin gradients.
-	// Ownership: inside evalWL's per-net pass a worker touches only the
-	// slots of the nets in its chunk; the per-cell gather then reads the
-	// pin gradients of each cell's slots, and the objective sum reads the
-	// net values serially in net order.
-	curX, curY            []float64
-	expPX, expNX          []float64
-	expPY, expNY          []float64
-	stX, stY              []wirelength.AxisState
-	netVal                []float64
-	pinGX, pinGY          []float64
-	nEvalNets             int64 // nets of degree ≥ 2, the ones evalWL evaluates
-	gamma                 float64
-	netRecomps, netReuses int64
-	fullEvals, deltaEvals int64
-	noReuse               bool // tests/benchmarks disable reuse to measure it
+	// coordinates, the per-pin exponential scratch of the last value pass,
+	// per-net axis states and values, and per-pin gradients. Ownership:
+	// inside a per-net pass a worker touches only the slots of the nets in
+	// its chunk; the per-cell gather then reads the pin gradients of each
+	// cell's slots, and the objective sum reads the net values serially in
+	// net order.
+	curX, curY   []float64
+	expPX, expNX []float64
+	expPY, expNY []float64
+	stX, stY     []wirelength.AxisState
+	netVal       []float64
+	pinGX, pinGY []float64
+	nEvalNets    int64 // nets of degree ≥ 2, the ones a pass evaluates
+	gamma        float64
 
-	// Evaluation-point cache. vPrev is the variable vector the full
-	// coordinate arrays reflect; refresh compares a new vector against it and
-	// drops every flag below when any variable moved. wlClean means netVal,
-	// curX/curY, exp* and st* hold the wirelength state at vPrev and the
-	// current γ; wlGradClean means pinGX/pinGY hold its pin gradients too.
-	// dgx/dgy hold the (unweighted) density gradients of the last density
-	// gradient pass and densVal the density objective; densClean means
-	// densVal is the potential's value at vPrev (and the potential's internal
-	// tables/residuals match it); densGradClean means dgx/dgy match too. λ is
-	// applied at fold time, so λ changes between outer stages never
-	// invalidate the cache; γ changes drop the wirelength flags (setGamma).
-	vPrev                    []float64
-	havePrev                 bool
-	wlClean, wlGradClean     bool
-	dgx, dgy                 []float64
-	densVal                  float64
-	densClean, densGradClean bool
+	// What the last Value left for Gradient: wlReady means its wirelength
+	// value pass finished, so the exponentials and axis states above are
+	// those of its point; densOK means it took a finite density value, so
+	// the potential's tables and residuals are too. dgx/dgy are the
+	// density gradient's (unweighted) scratch.
+	wlReady, densOK bool
+	dgx, dgy        []float64
 
 	// Congestion feedback controller; nil when Options.Congestion is off.
 	cong *congestion.Controller
@@ -459,7 +444,6 @@ func newEngine(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Op
 		}
 	}
 
-	e.vPrev = make([]float64, e.nVars)
 	e.buildCellPins()
 	return e
 }
@@ -497,14 +481,6 @@ func (e *engine) buildCellPins() {
 		e.cellPinW[fill[c]] = e.netWeight[ni]
 		fill[c]++
 	})
-}
-
-// setGamma installs a new smoothing parameter and drops the wirelength
-// cache: stored values and exponentials are exact only at the γ they were
-// computed with. The density cache is untouched — it does not depend on γ.
-func (e *engine) setGamma(g float64) {
-	e.gamma = g
-	e.wlClean, e.wlGradClean = false, false
 }
 
 // rowHOf returns the cell height of a group (uniform in row-based designs).
@@ -566,45 +542,12 @@ func (e *engine) initVars(v []float64) {
 	e.clampVars(v)
 }
 
-// refresh moves the engine's full-coordinate arrays and term caches to the
-// variable vector v. It is the only entry point that may change xFull/
-// yFull/cxFull/cyFull. At an unchanged point it keeps every cache; when
-// any variable moved it records v in vPrev, drops all four cache flags and
-// recomputes every cell's coordinates. Line-search probes move every
-// variable (the CG direction is dense), so the reuse that pays is the
-// accepted iterate's gradient evaluation at the point its winning probe
-// just evaluated (DESIGN.md §14.2). Every consumer of the full arrays
-// (wirelength kernels, density, alignment, tracing) therefore sees
-// coordinates whose staleness is tracked, which is what makes reuse exact
-// rather than heuristic.
-func (e *engine) refresh(v []float64) {
-	if e.havePrev && !e.noReuse && e.atPrev(v) {
-		return
-	}
-	copy(e.vPrev, v)
-	e.havePrev = true
-	e.wlClean, e.wlGradClean = false, false
-	e.densClean, e.densGradClean = false, false
-	e.updateAllCells(v)
-}
-
-// atPrev reports whether v equals vPrev bit for bit.
-func (e *engine) atPrev(v []float64) bool {
-	for i, vi := range v {
-		//placelint:ignore floateq bitwise change detection: an unchanged bit pattern provably leaves every downstream result identical, and NaN≠NaN conservatively refreshes
-		if vi != e.vPrev[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // updateAllCells recomputes every movable cell's coordinates from v in one
 // parallel pass; each cell's slots depend only on v, so the result is the
 // serial loop's at any worker count. The pass ignores the run context on
-// purpose: refresh must leave the coordinates matching vPrev even after a
-// deadline (run() refreshes once more after a cancelled solve to score the
-// committed iterate), and a pass stopped between chunks would not.
+// purpose: run() moves the cells once more after a cancelled solve to score
+// the committed iterate, and a pass stopped between chunks would leave some
+// cells behind.
 func (e *engine) updateAllCells(v []float64) {
 	nc := len(e.xFull)
 	// A background context cannot expire, so Run always completes.
@@ -626,152 +569,133 @@ func (e *engine) updateCell(c int, v []float64) {
 	e.cyFull[c] = e.yFull[c] + cell.H/2
 }
 
-// eval computes the objective and, when grad is non-nil, the gradient at v.
-// The optimizer's line-search probes are value-only calls (grad == nil):
-// the engine then skips every per-pin gradient kernel and the density
-// chain-rule pass. At a point refresh finds unchanged (the accepted probe,
-// re-evaluated for its gradient), the stored wirelength and density values
-// and gradients are reused instead of recomputed.
-func (e *engine) eval(v, grad []float64) float64 {
-	e.refresh(v)
-	withGrad := grad != nil
-	if withGrad {
-		for i := range e.gxFull {
-			e.gxFull[i] = 0
-			e.gyFull[i] = 0
-		}
+// Value moves every cell to v and returns the objective there: the smooth
+// wirelength, λ·density when λ > 0 and, in soft alignment mode, α·alignment.
+// The wirelength value pass runs the value kernels of every net into its
+// own exp and state slots; the weighted sum then runs serially in net
+// order, so the value is bit-identical at every worker count. What the pass
+// stores is all Gradient needs (see wlReady, densOK). A pass stopped by the
+// run context makes the objective NaN, which the optimizer rejects; its
+// own context poll then stops the solve.
+func (e *engine) Value(v []float64) float64 {
+	e.updateAllCells(v)
+	e.densOK = false
+	e.wlReady = e.netPass(false) == nil
+	if !e.wlReady {
+		return math.NaN()
 	}
-
-	reuse0, recomp0 := e.netReuses, e.netRecomps
-	wl := e.evalWL(withGrad)
-	if e.netReuses > reuse0 {
-		e.deltaEvals++
-	} else if e.netRecomps > recomp0 {
-		e.fullEvals++
-	}
-
-	var dens float64
-	if e.lambda > 0 {
-		if e.densClean {
-			dens = e.densVal
-		} else {
-			dens = e.pot.Value(e.cxFull, e.cyFull)
-			if !math.IsNaN(dens) {
-				e.densVal = dens
-				e.densClean = true
-			}
-			e.densGradClean = false
-		}
-		if withGrad && !math.IsNaN(dens) {
-			if !e.densGradClean {
-				for i := range e.dgx {
-					e.dgx[i] = 0
-					e.dgy[i] = 0
-				}
-				if !e.pot.Gradient(e.dgx, e.dgy) {
-					return math.NaN()
-				}
-				e.densGradClean = true
-			}
-			for i := range e.dgx {
-				e.gxFull[i] += e.lambda * e.dgx[i]
-				e.gyFull[i] += e.lambda * e.dgy[i]
-			}
-		}
-	}
-	var align float64
-	if e.alpha > 0 && len(e.o.Groups) > 0 && !e.hard {
-		align = e.evalAlign(withGrad, e.alpha)
-	}
-
-	if withGrad {
-		for i := range grad {
-			grad[i] = 0
-		}
-		for c := range e.nl.Cells {
-			if e.xVar[c] < 0 {
-				continue
-			}
-			grad[e.xVar[c]] += e.gxFull[c]
-			grad[e.nx+e.yVar[c]] += e.gyFull[c]
-		}
-	}
-	return wl + e.lambda*dens + e.alpha*align
-}
-
-// evalWL computes the smooth wirelength and, when withGrad is set,
-// accumulates the weighted per-pin gradients into the full per-cell arrays.
-//
-// The evaluation is sharded by net through the SoA kernels of package
-// wirelength. With the value cache stale, every net gathers its pin
-// coordinates from the flat CSR view and runs WAValueAxis/LSEValueAxis into
-// its own exp/state slots, and — when a gradient is wanted —
-// WAGradAxis/LSEGradAxis into its pin-gradient slots. With the value cache
-// clean and the gradient stale, the pass is gradient-only, from the stored
-// exponentials, with no math.Exp call; with both clean it is skipped. The
-// weighted pin gradients then reach the cells through a parallel gather:
-// each cell walks its pin slots in ascending order (the cellPins CSR),
-// adding exactly what a serial scatter over nets would have added to it, in
-// the same order. The weighted objective sum runs serially in net order.
-// The result is therefore bit-identical at every worker count and to a
-// from-scratch evaluation (the kernels are pure functions of stored inputs).
-func (e *engine) evalWL(withGrad bool) float64 {
-	recompute := !e.wlClean
-	if recompute || (withGrad && !e.wlGradClean) {
-		if err := e.netPass(recompute, withGrad); err != nil {
-			// Cancelled mid-pass: poison the objective so the optimizer
-			// rejects the iterate; its own context poll stops the solve next.
-			// The stale flag stays down, so the next evaluation redoes it.
-			return math.NaN()
-		}
-		e.wlClean, e.wlGradClean = true, withGrad
-	}
-	if recompute {
-		e.netRecomps += e.nEvalNets
-	} else {
-		e.netReuses += e.nEvalNets
-	}
-
-	if withGrad {
-		cellPinOff, cellPins, cellPinW := e.cellPinOff, e.cellPins, e.cellPinW
-		pinGX, pinGY, gxFull, gyFull := e.pinGX, e.pinGY, e.gxFull, e.gyFull
-		nc := len(gxFull)
-		if err := e.pool.Run(e.ctx, nc, e.pool.Grain(nc, 256), func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				from, to := cellPinOff[c], cellPinOff[c+1]
-				if from == to {
-					continue
-				}
-				gx, gy := gxFull[c], gyFull[c]
-				for s := from; s < to; s++ {
-					k, w := cellPins[s], cellPinW[s]
-					gx += w * pinGX[k]
-					gy += w * pinGY[k]
-				}
-				gxFull[c], gyFull[c] = gx, gy
-			}
-		}); err != nil {
-			return math.NaN()
-		}
-	}
-
-	// Objective: serial in net order.
 	netOff, netWeight, netVal := e.netOff, e.netWeight, e.netVal
-	total := 0.0
+	wl := 0.0
 	for ni := range netVal {
 		if netOff[ni+1]-netOff[ni] < 2 {
 			continue
 		}
-		total += netWeight[ni] * netVal[ni]
+		wl += netWeight[ni] * netVal[ni]
 	}
-	return total
+	var dens float64
+	if e.lambda > 0 {
+		dens = e.pot.Value(e.cxFull, e.cyFull)
+		e.densOK = !math.IsNaN(dens)
+	}
+	var align float64
+	if e.softAlign() {
+		align = alignEnergy(e.o.Groups, e.core.RowH(), e.cxFull, e.cyFull, nil, nil)
+	}
+	return wl + e.lambda*dens + e.alpha*align
+}
+
+// Gradient fills grad with the gradient at the point of the last Value:
+// the per-cell gradient of cellGradient, summed over each variable's cells.
+// When that Value or a pass of this call was stopped by the run context it
+// fills grad with NaN instead.
+func (e *engine) Gradient(grad []float64) {
+	if !e.cellGradient() {
+		for i := range grad {
+			grad[i] = math.NaN()
+		}
+		return
+	}
+	clear(grad)
+	for c := range e.nl.Cells {
+		if e.xVar[c] < 0 {
+			continue
+		}
+		grad[e.xVar[c]] += e.gxFull[c]
+		grad[e.nx+e.yVar[c]] += e.gyFull[c]
+	}
+}
+
+// cellGradient fills gxFull/gyFull with the per-cell gradient at the point
+// of the last Value, in a fixed order of additions. The wirelength gradient
+// kernels run from the exponentials that Value stored, with no math.Exp
+// call, and the weighted pin gradients reach the cells through a parallel
+// gather: each cell walks its pin slots in ascending order (the cellPins
+// CSR), adding exactly what a serial scatter over nets would have added to
+// it, in the same order. λ·density follows from the potential's stored
+// tables, skipped when the density value was NaN, then α·alignment. The
+// result is bit-identical at every worker count and to a fused
+// value-and-gradient pass (the kernels are pure functions of stored
+// inputs). It reports false when there is no value pass to differentiate
+// or the run context stopped a pass.
+func (e *engine) cellGradient() bool {
+	clear(e.gxFull)
+	clear(e.gyFull)
+	if !e.wlReady || e.netPass(true) != nil {
+		return false
+	}
+	cellPinOff, cellPins, cellPinW := e.cellPinOff, e.cellPins, e.cellPinW
+	pinGX, pinGY, gxFull, gyFull := e.pinGX, e.pinGY, e.gxFull, e.gyFull
+	nc := len(gxFull)
+	if err := e.pool.Run(e.ctx, nc, e.pool.Grain(nc, 256), func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			from, to := cellPinOff[c], cellPinOff[c+1]
+			if from == to {
+				continue
+			}
+			gx, gy := gxFull[c], gyFull[c]
+			for s := from; s < to; s++ {
+				k, w := cellPins[s], cellPinW[s]
+				gx += w * pinGX[k]
+				gy += w * pinGY[k]
+			}
+			gxFull[c], gyFull[c] = gx, gy
+		}
+	}); err != nil {
+		return false
+	}
+	if e.densOK {
+		clear(e.dgx)
+		clear(e.dgy)
+		if !e.pot.Gradient(e.dgx, e.dgy) {
+			return false
+		}
+		for i := range e.dgx {
+			e.gxFull[i] += e.lambda * e.dgx[i]
+			e.gyFull[i] += e.lambda * e.dgy[i]
+		}
+	}
+	if e.softAlign() {
+		clear(e.sgx)
+		clear(e.sgy)
+		alignEnergy(e.o.Groups, e.core.RowH(), e.cxFull, e.cyFull, e.sgx, e.sgy)
+		for i := range e.sgx {
+			e.gxFull[i] += e.alpha * e.sgx[i]
+			e.gyFull[i] += e.alpha * e.sgy[i]
+		}
+	}
+	return true
+}
+
+// softAlign reports whether the objective carries the soft alignment term.
+func (e *engine) softAlign() bool {
+	return e.alpha > 0 && len(e.o.Groups) > 0 && !e.hard
 }
 
 // netPass runs the per-net wirelength kernels over every net of degree
-// ≥ 2: the value kernels, after gathering the net's pin coordinates, when
-// recompute is set, and the gradient kernels, from the stored exponentials,
-// when withGrad is. Each net writes only its own slots.
-func (e *engine) netPass(recompute, withGrad bool) error {
+// ≥ 2: the value kernels, after gathering the net's pin coordinates, or,
+// with grad set, the gradient kernels from the exponentials and axis states
+// the last value pass stored. Each net writes only its own slots.
+func (e *engine) netPass(grad bool) error {
 	nNets := len(e.netVal)
 	// Hoist the hot slices and scalars out of the worker closure, so the
 	// net loop reads locals rather than fields through e, which its slice
@@ -791,29 +715,7 @@ func (e *engine) netPass(recompute, withGrad bool) error {
 			xs, ys := curX[off:end], curY[off:end]
 			epx, enx := expPX[off:end], expNX[off:end]
 			epy, eny := expPY[off:end], expNY[off:end]
-			if recompute {
-				for k := off; k < end; k++ {
-					if c := pinCell[k]; c >= 0 {
-						curX[k] = xFull[c] + pinDX[k]
-						curY[k] = yFull[c] + pinDY[k]
-					} else {
-						curX[k] = pinDX[k]
-						curY[k] = pinDY[k]
-					}
-				}
-				if lse {
-					sx, wx := wirelength.LSEValueAxis(xs, epx, enx, gamma)
-					sy, wy := wirelength.LSEValueAxis(ys, epy, eny, gamma)
-					stX[ni], stY[ni] = sx, sy
-					netVal[ni] = wx + wy
-				} else {
-					sx, wx := wirelength.WAValueAxis(xs, epx, enx, gamma)
-					sy, wy := wirelength.WAValueAxis(ys, epy, eny, gamma)
-					stX[ni], stY[ni] = sx, sy
-					netVal[ni] = wx + wy
-				}
-			}
-			if withGrad {
+			if grad {
 				if lse {
 					wirelength.LSEGradAxis(epx, enx, stX[ni], pinGX[off:end])
 					wirelength.LSEGradAxis(epy, eny, stY[ni], pinGY[off:end])
@@ -821,26 +723,28 @@ func (e *engine) netPass(recompute, withGrad bool) error {
 					wirelength.WAGradAxis(xs, epx, enx, stX[ni], gamma, pinGX[off:end])
 					wirelength.WAGradAxis(ys, epy, eny, stY[ni], gamma, pinGY[off:end])
 				}
+				continue
 			}
+			for k := off; k < end; k++ {
+				if c := pinCell[k]; c >= 0 {
+					curX[k] = xFull[c] + pinDX[k]
+					curY[k] = yFull[c] + pinDY[k]
+				} else {
+					curX[k] = pinDX[k]
+					curY[k] = pinDY[k]
+				}
+			}
+			var wx, wy float64
+			if lse {
+				stX[ni], wx = wirelength.LSEValueAxis(xs, epx, enx, gamma)
+				stY[ni], wy = wirelength.LSEValueAxis(ys, epy, eny, gamma)
+			} else {
+				stX[ni], wx = wirelength.WAValueAxis(xs, epx, enx, gamma)
+				stY[ni], wy = wirelength.WAValueAxis(ys, epy, eny, gamma)
+			}
+			netVal[ni] = wx + wy
 		}
 	})
-}
-
-// evalAlign computes the soft alignment energy and adds weight·grad.
-func (e *engine) evalAlign(withGrad bool, weight float64) float64 {
-	if !withGrad {
-		return alignEnergy(e.o.Groups, e.core.RowH(), e.cxFull, e.cyFull, nil, nil)
-	}
-	for i := range e.sgx {
-		e.sgx[i] = 0
-		e.sgy[i] = 0
-	}
-	a := alignEnergy(e.o.Groups, e.core.RowH(), e.cxFull, e.cyFull, e.sgx, e.sgy)
-	for i := range e.sgx {
-		e.gxFull[i] += weight * e.sgx[i]
-		e.gyFull[i] += weight * e.sgy[i]
-	}
-	return a
 }
 
 // gradL1 sums |g| over movable cells.
@@ -859,13 +763,14 @@ func gradL1(gx, gy []float64, nl *netlist.Netlist) float64 {
 // flight-recorder telemetry when recording is on: every accepted iterate and
 // every health event (rollback, line-search reset, CG restart, divergence)
 // lands in the trace. The callback only observes, so the iterate sequence is
-// bit-identical to an unrecorded run.
-func (e *engine) innerOpts(ctx context.Context, rec *obs.Recorder, outer int, stepInit float64) opt.Options {
+// bit-identical to an unrecorded run. The first trial step moves the
+// strongest variable about a quarter bin.
+func (e *engine) innerOpts(ctx context.Context, rec *obs.Recorder, outer int) opt.Options {
 	oo := opt.Options{
-		MaxIter:  e.o.InnerIters,
-		GradTol:  1e-7,
-		StepInit: stepInit,
-		Ctx:      ctx,
+		MaxIter:   e.o.InnerIters,
+		GradTol:   1e-7,
+		FirstMove: 0.25 * math.Max(e.grid.BinW, e.grid.BinH),
+		Ctx:       ctx,
 	}
 	if rec.Active() {
 		oo.Callback = func(iter int, f, gnorm float64) {
@@ -901,22 +806,23 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		// the exploratory large-γ stages and polishes from mid-schedule.
 		gammaHi = 2 * math.Max(e.grid.BinW, e.grid.BinH)
 	}
-	e.setGamma(gammaHi)
+	e.gamma = gammaHi
 
-	// Auto-scale λ (and α in soft mode) from first-order balance.
+	// Auto-scale λ (and α in soft mode) from first-order balance. At
+	// λ = α = 0 the objective is the wirelength alone, so its per-cell
+	// gradient is the wirelength gradient; the density and alignment
+	// gradients at the same point go into their own scratch.
 	e.lambda, e.alpha = 0, 0
-	e.refresh(v)
-	for i := range e.gxFull {
-		e.gxFull[i] = 0
-		e.gyFull[i] = 0
-	}
-	e.evalWL(true)
+	e.Value(v)
+	e.cellGradient()
 	wlNorm := gradL1(e.gxFull, e.gyFull, nl)
 
-	dgx := make([]float64, len(e.gxFull))
-	dgy := make([]float64, len(e.gyFull))
-	e.pot.Eval(e.cxFull, e.cyFull, dgx, dgy)
-	densNorm := gradL1(dgx, dgy, nl)
+	clear(e.dgx)
+	clear(e.dgy)
+	if !math.IsNaN(e.pot.Value(e.cxFull, e.cyFull)) {
+		e.pot.Gradient(e.dgx, e.dgy)
+	}
+	densNorm := gradL1(e.dgx, e.dgy, nl)
 	lambda0 := 1e-4
 	if densNorm > 0 {
 		lambda0 = 0.2 * wlNorm / densNorm
@@ -924,10 +830,10 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 
 	alpha0 := 0.0
 	if len(e.o.Groups) > 0 && !e.hard {
-		agx := make([]float64, len(e.gxFull))
-		agy := make([]float64, len(e.gyFull))
-		alignEnergy(e.o.Groups, e.core.RowH(), e.cxFull, e.cyFull, agx, agy)
-		if alignNorm := gradL1(agx, agy, nl); alignNorm > 0 {
+		clear(e.sgx)
+		clear(e.sgy)
+		alignEnergy(e.o.Groups, e.core.RowH(), e.cxFull, e.cyFull, e.sgx, e.sgy)
+		if alignNorm := gradL1(e.sgx, e.sgy, nl); alignNorm > 0 {
 			alpha0 = 0.02 * wlNorm / alignNorm * e.o.AlignWeight
 		}
 	}
@@ -966,12 +872,11 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		}
 		// Congestion feedback: pl holds the committed iterate (the initial
 		// placement at outer 0), so the snapshot sees what the spreader
-		// produced. Inflation changes the density objective at unchanged
-		// coordinates, so both density caches must drop (DESIGN.md §14.2).
+		// produced. The next Minimize starts with a Value, which reads the
+		// new scale (DESIGN.md §15.4).
 		if e.cong.Due(outer, lastOv) {
 			if e.cong.Snapshot(ctx, e.pool, pl) {
 				e.pot.SetAreaScale(e.cong.Scale())
-				e.densClean, e.densGradClean = false, false
 				st := e.cong.Stats()
 				rec.SolverEvent("global", outer, "congestion-inflate", 0, 0, e.lambda)
 				rec.Logf(obs.Debug, "global",
@@ -986,10 +891,11 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		if gammaBoost != 1 {
 			gamma = math.Min(gammaHi, gamma*gammaBoost)
 		}
-		e.setGamma(gamma)
+		e.gamma = gamma
 
-		r := opt.Minimize(e.eval, v, e.innerOpts(ctx, rec, outer, e.stepInit(v)))
+		r := opt.Minimize(e, v, e.innerOpts(ctx, rec, outer))
 		res.FuncEvals += r.FuncEvals
+		res.DeltaEvals += int64(r.Iters)
 		res.OuterIters = outer + 1
 		res.Diagnostics.Recoveries += r.Recoveries
 
@@ -1036,7 +942,7 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 			sinceBest++
 		}
 		if e.o.Trace != nil || rec.Active() {
-			e.refresh(v)
+			e.updateAllCells(v)
 			p := TracePoint{
 				Outer:     outer,
 				Inner:     r.Iters,
@@ -1079,8 +985,9 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 	if stageErr == nil && !e.hard && len(e.o.Groups) > 0 && e.alpha > 0 {
 		e.alpha *= 64
 		// Outer index -1 marks the soft-alignment polish solve in the trace.
-		r := opt.Minimize(e.eval, v, e.innerOpts(ctx, rec, -1, e.stepInit(v)))
+		r := opt.Minimize(e, v, e.innerOpts(ctx, rec, -1))
 		res.FuncEvals += r.FuncEvals
+		res.DeltaEvals += int64(r.Iters)
 		res.Diagnostics.Recoveries += r.Recoveries
 		if r.Stopped {
 			res.Diagnostics.Partial = true
@@ -1091,15 +998,14 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 
 	e.commit(v)
 	pl.ClampInto(nl, e.core.Region)
-	e.refresh(v)
+	e.updateAllCells(v)
 	res.HPWL = pl.HPWL(nl)
 	res.Overflow = density.Overflow(nl, pl, e.grid, e.o.TargetDensity)
 	res.AlignRMS = AlignmentScore(e.o.Groups, e.core.RowH(), e.cxFull, e.cyFull)
 	res.Workers = e.pool.Workers()
-	res.NetRecomputes = e.netRecomps
-	res.NetReuses = e.netReuses
-	res.FullEvals = e.fullEvals
-	res.DeltaEvals = e.deltaEvals
+	res.FullEvals = int64(res.FuncEvals) - res.DeltaEvals
+	res.NetRecomputes = res.FullEvals * e.nEvalNets
+	res.NetReuses = res.DeltaEvals * e.nEvalNets
 	// Recorder counters sum over every solve of a run (each V-cycle level,
 	// a baseline rerun); the Result fields describe this solve alone.
 	rec.Add("global/outer_iters", int64(res.OuterIters))
@@ -1124,23 +1030,6 @@ func finiteVec(v []float64) bool {
 		}
 	}
 	return true
-}
-
-// stepInit picks the first trial step so the strongest variable moves about
-// a quarter bin.
-func (e *engine) stepInit(v []float64) float64 {
-	g := make([]float64, len(v))
-	e.eval(v, g)
-	maxG := 0.0
-	for _, gv := range g {
-		if a := math.Abs(gv); a > maxG {
-			maxG = a
-		}
-	}
-	if maxG == 0 {
-		return 1
-	}
-	return 0.25 * math.Max(e.grid.BinW, e.grid.BinH) / maxG
 }
 
 // clampVars keeps every variable inside its feasible interval.

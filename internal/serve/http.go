@@ -76,8 +76,11 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
+// maxBody caps a job submission's request body.
+const maxBody = 64 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := DecodeSpec(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	spec, err := DecodeSpec(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		s.metrics.admissionRejects.With("malformed").Inc()
 		writeError(w, err)

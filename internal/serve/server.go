@@ -46,8 +46,6 @@ type Config struct {
 	MaxRetries int
 	// Heartbeat is the SSE heartbeat interval (0 = 10s).
 	Heartbeat time.Duration
-	// MaxBody caps a request body (0 = 64 MiB).
-	MaxBody int64
 	// Log receives daemon-level logging; nil logs nothing. Counts of
 	// daemon events live in Metrics.
 	Log *obs.Recorder
@@ -75,9 +73,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Heartbeat == 0 {
 		c.Heartbeat = 10 * time.Second
-	}
-	if c.MaxBody == 0 {
-		c.MaxBody = 64 << 20
 	}
 }
 

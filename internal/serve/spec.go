@@ -200,23 +200,12 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// parseUnits maps unit-kind names to gen.UnitKind.
+// parseUnits maps a gen spec's unit names to unit kinds; an unknown name is
+// malformed input.
 func parseUnits(names []string) ([]gen.UnitKind, error) {
-	kinds := make([]gen.UnitKind, 0, len(names))
-	for _, u := range names {
-		switch strings.TrimSpace(u) {
-		case "adder":
-			kinds = append(kinds, gen.Adder)
-		case "muxtree":
-			kinds = append(kinds, gen.MuxTree)
-		case "shifter":
-			kinds = append(kinds, gen.Shifter)
-		case "regbank":
-			kinds = append(kinds, gen.RegBank)
-		case "":
-		default:
-			return nil, malformedf("job spec: unknown gen unit %q", u)
-		}
+	kinds, err := gen.ParseUnits(names)
+	if err != nil {
+		return nil, malformedf("job spec: gen: %v", err)
 	}
 	return kinds, nil
 }

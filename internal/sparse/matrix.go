@@ -97,9 +97,6 @@ type CSR struct {
 	Val    []float64
 }
 
-// NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.Val) }
-
 // MulVec computes dst = m * x. dst and x must have length N and must not
 // alias.
 func (m *CSR) MulVec(dst, x []float64) {

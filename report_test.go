@@ -46,8 +46,9 @@ func collectRun(t *testing.T, bench *dpplace.Benchmark, opt dpplace.Options) (*d
 // each sums every solve of the run. On a flat run they equal the one
 // solve's global.Result fields; under the V-cycle global/outer_iters is the
 // sum of the per-level counts, and the evaluation counters equal the
-// result's, which the V-cycle also sums over levels. Every counter is the
-// same at every worker count.
+// result's, which the V-cycle also sums over levels. Full and delta
+// evaluations split global/func_evals. Every counter is the same at every
+// worker count.
 func TestCounterMeanings(t *testing.T) {
 	bench := meaningBench()
 	for _, ml := range []bool{false, true} {
@@ -90,6 +91,7 @@ func TestCounterMeanings(t *testing.T) {
 			}
 			check("global/evals_full", g.FullEvals)
 			check("global/evals_delta", g.DeltaEvals)
+			check("global/func_evals", c["global/evals_full"]+c["global/evals_delta"])
 			if first == nil {
 				first = c
 			} else if !maps.Equal(c, first) {
