@@ -3,11 +3,12 @@
 //
 // Usage:
 //
-//	dpextract [-structural-only] [-min-bits 4] [-min-stages 2] [-quiet] design.aux
+//	dpextract [-structural-only] [-min-bits 4] [-min-stages 3] [-quiet] design.aux
 //
-// The per-group breakdown prints by default; -quiet restricts output to the
-// one-line summary. -min-bits and -min-stages below 1 exit 2 before the
-// design is read.
+// The flag defaults are datapath.DefaultOptions, so with no flags dpextract
+// reports the groups dpplace places. The per-group breakdown prints by
+// default; -quiet restricts output to the one-line summary. -min-bits and
+// -min-stages below 1 exit 2 before the design is read.
 package main
 
 import (
@@ -25,9 +26,10 @@ func main() {
 }
 
 func run() int {
+	opt := datapath.DefaultOptions()
 	structOnly := flag.Bool("structural-only", false, "ignore net names (pure structural inference)")
-	minBits := flag.Int("min-bits", 4, "minimum slice count per group")
-	minStages := flag.Int("min-stages", 2, "minimum columns per group")
+	minBits := flag.Int("min-bits", opt.MinBits, "minimum slice count per group")
+	minStages := flag.Int("min-stages", opt.MinStages, "minimum columns per group")
 	quiet := flag.Bool("quiet", false, "summary line only")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -53,7 +55,6 @@ func run() int {
 		rec.Logf(obs.Error, "dpextract", "%v", err)
 		return 1
 	}
-	opt := datapath.DefaultOptions()
 	opt.MinBits = *minBits
 	opt.MinStages = *minStages
 	if *structOnly {

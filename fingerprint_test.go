@@ -79,10 +79,10 @@ func TestPlacementFingerprint(t *testing.T) {
 			MaxUtil: 1, FuncEvals: 1802},
 		"structure-aware/vcycle+congestion": {Hash: 0x90c6b2f97ea56034, HPWLFinal: 47673.333333333314,
 			SteinerWL: 51403.8333333333, RoutedOvfl: 49.24999999999994, ACE5: 11.510681075022232,
-			MaxUtil: 1, FuncEvals: 1243, GroupedCells: 288, Levels: 2, Snapshots: 2, InflatedCells: 259},
+			MaxUtil: 1, FuncEvals: 1951, GroupedCells: 288, Levels: 2, Snapshots: 2, InflatedCells: 259},
 		"baseline/vcycle+congestion": {Hash: 0x68ce1fb1c332f0ec, HPWLFinal: 42986.916666666664,
 			SteinerWL: 47633.83333333329, RoutedOvfl: 60.349999999999866, ACE5: 11.997584162194395,
-			MaxUtil: 1, FuncEvals: 955, Levels: 2, Snapshots: 4, InflatedCells: 267},
+			MaxUtil: 1, FuncEvals: 3265, Levels: 2, Snapshots: 4, InflatedCells: 267},
 		"structure-aware/flat+congestion": {Hash: 0xbb24d61b60fd4d0b, HPWLFinal: 45754.25,
 			SteinerWL: 48883.83333333332, RoutedOvfl: 150.05000000000015, ACE5: 12.608163623020907,
 			MaxUtil: 1, FuncEvals: 1357, GroupedCells: 288, Snapshots: 2, InflatedCells: 386},

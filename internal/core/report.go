@@ -29,12 +29,14 @@ type RunReport struct {
 	Workers int `json:"workers,omitempty"`
 
 	// Incremental-evaluation effectiveness of the global-place engine.
-	// DirtyNetRatio is net recomputations over total per-net decisions
-	// (recomputations + reuses): 1.0 means every evaluation recomputed every
-	// net (no reuse), small values mean most evaluations found their point
-	// unchanged. FullRecomputes and DeltaRecomputes count whole objective
-	// evaluations by kind: ones that recomputed every net versus ones that
-	// reused the cached per-net results.
+	// FullRecomputes counts evaluations that ran a full value pass over
+	// every net (the start of a solve, each line-search probe, each
+	// rollback); DeltaRecomputes counts accepted iterates' gradients, which
+	// run from the exponentials the winning probe's value pass stored.
+	// DirtyNetRatio is the per-net share of the first kind: net value
+	// computations over value computations plus gradient-pass reuses, so
+	// 1.0 means no gradient reused a value pass and lower values mean more
+	// of the evaluations were accepted iterates' gradients.
 	DirtyNetRatio   float64 `json:"dirty_net_ratio,omitempty"`
 	FullRecomputes  int64   `json:"full_recomputes,omitempty"`
 	DeltaRecomputes int64   `json:"delta_recomputes,omitempty"`

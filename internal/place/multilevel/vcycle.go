@@ -75,8 +75,11 @@ type Result struct {
 	ClusterRatio float64
 	// PerLevel holds one entry per level, coarsest first.
 	PerLevel []LevelStats
-	// Global is the finest-level solve's result: its diagnostics and quality
-	// numbers describe the placement the caller receives.
+	// Global is the finest-level solve's result with its work counts summed
+	// over every level: HPWL, Overflow, AlignRMS, Congestion, Diagnostics and
+	// Workers describe the placement the caller receives, while OuterIters,
+	// FuncEvals, FullEvals, DeltaEvals, NetRecomputes and NetReuses count the
+	// whole V-cycle, as the recorder's global/* counters do.
 	Global global.Result
 }
 
@@ -153,9 +156,10 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement, c
 			OuterIters: gRes.OuterIters,
 			Seconds:    sw.Seconds(),
 		})
-		// res.Global carries the finest solve's quality numbers, but the
-		// incremental-evaluation counters aggregate across every level: the
-		// dirty-net ratio of the whole V-cycle is what the run report surfaces.
+		// res.Global carries the finest solve's quality numbers and the work
+		// counts of every level, as the recorder's global/* counters do.
+		gRes.OuterIters += res.Global.OuterIters
+		gRes.FuncEvals += res.Global.FuncEvals
 		gRes.NetRecomputes += res.Global.NetRecomputes
 		gRes.NetReuses += res.Global.NetReuses
 		gRes.FullEvals += res.Global.FullEvals

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -295,7 +296,8 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 }
 
 // TestBudgetSharedAcrossJobs floods the scheduler at several budget sizes
-// and asserts the shared worker budget never over-grants; run with -race.
+// and asserts the shared worker budget never over-grants and is fully
+// returned; run with -race.
 func TestBudgetSharedAcrossJobs(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		workers := workers
@@ -317,11 +319,13 @@ func TestBudgetSharedAcrossJobs(t *testing.T) {
 					t.Fatalf("job %s ended %s (%s)", id, got.State, got.Error)
 				}
 			}
-			if hw := s.budget.HighWater(); hw > workers {
-				t.Fatalf("budget high-water %d exceeds the %d-worker budget", hw, workers)
-			}
-			if used := s.budget.InUse(); used != 0 {
-				t.Fatalf("%d workers still held after all jobs finished", used)
+			// Runners return their workers after the job turns terminal.
+			waitIdle(t, s, 10*time.Second)
+			s.mu.Lock()
+			hw := s.highWater
+			s.mu.Unlock()
+			if hw < 1 || hw > workers {
+				t.Fatalf("budget high-water %d outside [1, %d]", hw, workers)
 			}
 		})
 	}
@@ -380,6 +384,94 @@ func TestPriorityOrdering(t *testing.T) {
 		t.Fatalf("start order %v: high-priority %s must run before low-priority %s",
 			starts, hi.ID, lo.ID)
 	}
+}
+
+// TestQueueCountsJobsWaitingForWorkers holds the single worker, then fills
+// the queue: every job waiting for a worker must count as queued in Stats
+// (and so in the queue-depth gauge and admission control) at any moment, so
+// the next submission is bounced. Closing the server with jobs still waiting
+// must return, and the next instance must replay them as queued.
+func TestQueueCountsJobsWaitingForWorkers(t *testing.T) {
+	const depth = 2
+	dir := t.TempDir()
+	s := newServer(t, Config{Dir: dir, Workers: 1, QueueDepth: depth})
+	s.Start()
+	blocker, err := s.Submit(slowSpec("blocker"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, blocker.ID, 60*time.Second, func(v View) bool { return v.State == StateRunning })
+	var waiting []string
+	for i := 0; i < depth; i++ {
+		v, err := s.Submit(fastSpec("waiting", int64(i)))
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		waiting = append(waiting, v.ID)
+	}
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if st := s.Stats(); st.Queued != depth {
+			t.Fatalf("Stats().Queued = %d with %d jobs waiting for the held worker, want %d", st.Queued, depth, depth)
+		}
+	}
+	if _, err := s.Submit(fastSpec("over", 9)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("submit past a full queue: err = %v, want ErrOverloaded", err)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("Close did not return with jobs waiting for workers")
+	}
+	s2 := newServer(t, Config{Dir: dir, Workers: 1, QueueDepth: depth})
+	defer s2.Close()
+	for _, id := range waiting {
+		if v, err := s2.Job(id); err != nil || v.State != StateQueued {
+			t.Errorf("replayed job %s: state %s (%v), want queued", id, v.State, err)
+		}
+	}
+}
+
+// TestWorkerGrants runs one job at a time on an idle two-worker server: a
+// job is granted what it asks for up to the free workers, and asking 0 asks
+// for the whole budget.
+func TestWorkerGrants(t *testing.T) {
+	s := newServer(t, Config{Workers: 2})
+	defer s.Close()
+	s.Start()
+	for _, tc := range []struct{ ask, want int }{{0, 2}, {3, 2}, {1, 1}} {
+		spec := fastSpec("grant", 31)
+		spec.Options.Workers = tc.ask
+		v, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		got := waitTerminal(t, s, v.ID, 60*time.Second)
+		if got.State != StateDone || got.Workers != tc.want {
+			t.Errorf("job asking %d workers ended %s on %d, want done on %d", tc.ask, got.State, got.Workers, tc.want)
+		}
+		waitIdle(t, s, 10*time.Second)
+	}
+}
+
+// TestReleaseMoreThanGrantedPanics: returning workers that were never
+// granted is a bookkeeping bug and must not pass silently.
+func TestReleaseMoreThanGrantedPanics(t *testing.T) {
+	s := newServer(t, Config{Workers: 2})
+	defer s.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("release of an ungranted worker did not panic")
+		}
+	}()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.release(1)
 }
 
 func TestAdmissionControl(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"time"
 
@@ -17,7 +18,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	obsmetrics "repro/internal/obs/metrics"
-	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/place/global"
 
@@ -82,8 +82,10 @@ type Server struct {
 	cfg     Config
 	log     *obs.Recorder
 	journal *Journal
-	budget  *par.Budget
 	metrics *serverMetrics
+	// workers is the shared worker budget (Config.Workers, 0 resolved to
+	// GOMAXPROCS); running jobs hold inUse of it between them.
+	workers int
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -94,8 +96,12 @@ type Server struct {
 	// told to checkpoint; their attempts journal EvInterrupt, not EvFail.
 	drainKill bool
 	running   int
+	inUse     int
+	highWater int // largest inUse ever observed
 
-	queueCh    chan struct{} // cap 1; signaled when the queue gains a job
+	// wake (capacity 1) is signaled when the queue gains a job, a runner
+	// returns its workers, or drain begins; the dispatcher is its only reader.
+	wake       chan struct{}
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 
@@ -116,22 +122,26 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	rootCtx, rootCancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
 		log:        cfg.Log,
 		journal:    journal,
-		budget:     par.NewBudget(cfg.Workers),
 		metrics:    newServerMetrics(cfg.Metrics),
+		workers:    workers,
 		jobs:       make(map[string]*Job),
-		queueCh:    make(chan struct{}, 1),
+		wake:       make(chan struct{}, 1),
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
 		dispatched: make(chan struct{}),
 	}
 	// The journal reports appends and fsync latency, which happen under its
 	// lock. With a nil registry every callback lands on inert instruments.
-	s.metrics.budgetWorkers.Set(int64(s.budget.Total()))
+	s.metrics.budgetWorkers.Set(int64(s.workers))
 	journal.Instrument(func(fsyncSec float64) {
 		s.metrics.journalAppends.Inc()
 		s.metrics.journalFsync.Observe(fsyncSec)
@@ -154,8 +164,8 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) syncGauges() {
 	s.metrics.queueDepth.Set(int64(s.queue.Len()))
 	s.metrics.jobsRunning.Set(int64(s.running))
-	s.metrics.budgetInUse.Set(int64(s.budget.InUse()))
-	s.metrics.budgetHighWater.Set(int64(s.budget.HighWater()))
+	s.metrics.budgetInUse.Set(int64(s.inUse))
+	s.metrics.budgetHighWater.Set(int64(s.highWater))
 }
 
 // replay folds journal records into the job table and requeues every job a
@@ -252,47 +262,62 @@ func (s *Server) Start() {
 	})
 }
 
-// dispatch pops queued jobs in priority order, acquires a worker grant from
-// the shared budget (blocking while placements hold it all), and hands each
-// job to a runner goroutine.
+// dispatch waits until a job is queued and a worker is free, pops the head
+// of the priority heap, grants it min(asked, free) workers (asking 0 asks
+// for the whole budget) and hands it to a runner goroutine. A job waiting
+// for workers stays in the heap, so the queue gauge, /stats and admission
+// control count it, and a higher-priority job that arrives meanwhile heads
+// the heap in its place.
 func (s *Server) dispatch() {
 	defer close(s.dispatched)
 	for {
-		job := s.popQueued()
-		if job == nil {
-			return // draining or shut down
+		// wait times how long a queued job waited for a free worker; it is
+		// never started when a worker was free.
+		var wait obs.Stopwatch
+		s.mu.Lock()
+		for !s.draining && (s.queue.Len() == 0 || s.inUse == s.workers) {
+			if s.queue.Len() == 0 {
+				wait = obs.Stopwatch{}
+			} else if !wait.Started() {
+				wait = obs.StartStopwatch()
+			}
+			s.mu.Unlock()
+			select {
+			case <-s.wake:
+			case <-s.rootCtx.Done():
+				return
+			}
+			s.mu.Lock()
 		}
-		wait := obs.StartStopwatch()
-		grant, err := s.budget.Acquire(s.rootCtx, wantWorkers(job))
-		if err != nil {
-			// Shutdown while waiting for workers: the job stays queued in
-			// the journal and the next instance requeues it.
+		if s.draining {
+			// Queued jobs stay queued in the journal; the next instance
+			// requeues them.
+			s.mu.Unlock()
 			return
 		}
-		s.metrics.leaseWait.Observe(wait.Seconds())
-		s.mu.Lock()
-		if job.State != StateQueued || s.draining {
-			// Canceled while waiting, or drain began: do not start.
-			s.budget.Release(grant)
-			s.syncGauges()
-			s.mu.Unlock()
-			continue
+		job := heap.Pop(&s.queue).(*Job)
+		grant := s.workers - s.inUse
+		if w := wantWorkers(job); w > 0 && w < grant {
+			grant = w
 		}
-		// A job that arrived while this one waited for workers may outrank
-		// it: the grant goes to whichever job heads the queue now, so
-		// priority order holds under a saturated budget too.
-		heap.Push(&s.queue, job)
-		job = heap.Pop(&s.queue).(*Job)
-		excess := 0
-		if w := wantWorkers(job); w > 0 && grant > w {
-			excess, grant = grant-w, w
-		}
+		s.inUse += grant
+		s.highWater = max(s.highWater, s.inUse)
 		s.running++
 		s.runners.Add(1)
-		s.budget.Release(excess)
+		s.metrics.leaseWait.Observe(wait.Seconds())
 		s.syncGauges()
 		s.mu.Unlock()
 		go s.runJob(job, grant)
+	}
+}
+
+// release returns n granted workers to the budget. Caller holds the mutex.
+// Releasing more than was granted panics: it means a bookkeeping bug that
+// would silently over-admit jobs.
+func (s *Server) release(n int) {
+	s.inUse -= n
+	if s.inUse < 0 {
+		panic("serve: released more workers than were granted")
 	}
 }
 
@@ -303,30 +328,6 @@ func wantWorkers(job *Job) int {
 		return 0
 	}
 	return job.Spec.Options.Workers
-}
-
-// popQueued blocks until a queued job is available (nil when draining or
-// shut down).
-func (s *Server) popQueued() *Job {
-	for {
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return nil
-		}
-		if s.queue.Len() > 0 {
-			job := heap.Pop(&s.queue).(*Job)
-			s.syncGauges()
-			s.mu.Unlock()
-			return job
-		}
-		s.mu.Unlock()
-		select {
-		case <-s.queueCh:
-		case <-s.rootCtx.Done():
-			return nil
-		}
-	}
 }
 
 // Submit admits a job: validates nothing (the HTTP layer decoded and
@@ -377,7 +378,7 @@ func (s *Server) Submit(spec *JobSpec) (View, error) {
 	s.metrics.jobState("queued")
 	s.syncGauges()
 	s.mu.Unlock()
-	signal(s.queueCh)
+	signal(s.wake)
 	s.log.Logf(obs.Info, "serve", "job %s admitted (priority %d, ~%d cells)",
 		job.ID, spec.Priority, EstimateCells(spec))
 	return v, nil
@@ -483,7 +484,7 @@ func (s *Server) Stats() Stats {
 	defer s.mu.Unlock()
 	return Stats{
 		Queued: s.queue.Len(), Running: s.running,
-		WorkersTotal: s.budget.Total(), WorkersInUse: s.budget.InUse(),
+		WorkersTotal: s.workers, WorkersInUse: s.inUse,
 		Draining: s.draining, Jobs: len(s.jobs),
 	}
 }
@@ -507,7 +508,7 @@ func (s *Server) Drain(ctx context.Context) (checkpointed int, err error) {
 	s.draining = true
 	s.mu.Unlock()
 	s.log.Logf(obs.Info, "serve", "drain: admission stopped")
-	signal(s.queueCh) // wake the dispatcher so it observes draining
+	signal(s.wake) // wake the dispatcher so it observes draining
 
 	finished := make(chan struct{})
 	go func() {
@@ -533,7 +534,7 @@ func (s *Server) Drain(ctx context.Context) (checkpointed int, err error) {
 		}
 		s.runners.Wait()
 	}
-	// Stop the dispatcher (it may be idle-waiting or blocked in Acquire).
+	// Stop the dispatcher (it may be waiting for a job or a free worker).
 	s.rootCancel()
 	<-s.dispatchedOrNever()
 
@@ -609,15 +610,17 @@ func signal(ch chan struct{}) {
 
 // runJob executes one job to a terminal state (or a drain checkpoint),
 // retrying retryable failures with damped options. It owns `grant` workers
-// of the shared budget for its whole duration, releasing them at the end.
+// of the shared budget for its whole duration, returning them at the end
+// and waking the dispatcher.
 func (s *Server) runJob(job *Job, grant int) {
 	defer s.runners.Done()
 	defer func() {
 		s.mu.Lock()
 		s.running--
-		s.budget.Release(grant)
+		s.release(grant)
 		s.syncGauges()
 		s.mu.Unlock()
+		signal(s.wake)
 	}()
 
 	for {

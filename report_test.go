@@ -43,10 +43,9 @@ func collectRun(t *testing.T, bench *dpplace.Benchmark, opt dpplace.Options) (*d
 }
 
 // TestCounterMeanings pins what the recorder's global-solve counters mean:
-// each sums every solve of the run. On a flat run they equal the one
-// solve's global.Result fields; under the V-cycle global/outer_iters is the
-// sum of the per-level counts, and the evaluation counters equal the
-// result's, which the V-cycle also sums over levels. Full and delta
+// each sums every solve of the run and equals the run's global.Result field,
+// which the V-cycle also sums over levels; under the V-cycle
+// global/outer_iters is also the sum of the per-level counts. Full and delta
 // evaluations split global/func_evals. Every counter is the same at every
 // worker count.
 func TestCounterMeanings(t *testing.T) {
@@ -72,10 +71,9 @@ func TestCounterMeanings(t *testing.T) {
 					t.Errorf("%s workers=%d: %s = %d, want %d", name, workers, key, c[key], want)
 				}
 			}
-			if !ml {
-				check("global/outer_iters", int64(g.OuterIters))
-				check("global/func_evals", int64(g.FuncEvals))
-			} else {
+			check("global/outer_iters", int64(g.OuterIters))
+			check("global/func_evals", int64(g.FuncEvals))
+			if ml {
 				if res.Multilevel == nil || res.Multilevel.Levels < 2 {
 					t.Fatalf("vcycle: %+v, want at least two levels", res.Multilevel)
 				}
