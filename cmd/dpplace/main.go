@@ -354,7 +354,6 @@ func run() int {
 	opt := core.Options{
 		Mode:       modes[*mode],
 		OnDegrade:  degradePolicies[*onDegrade],
-		Timeout:    *timeout,
 		Multilevel: *f.multilevel,
 		MultilevelOpts: multilevel.Options{
 			ClusterRatio: *f.clusterRatio,
@@ -377,8 +376,10 @@ func run() int {
 	// so a second one falls back to default handling and kills the process.
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
+	runCtx, cancel := pipeline.WithBudget(sigCtx, *timeout)
+	defer cancel()
 
-	ctx := obs.NewContext(sigCtx, rec)
+	ctx := obs.NewContext(runCtx, rec)
 	res, err := core.PlaceCtx(ctx, d.Netlist, d.Core, d.Placement, opt)
 	interrupted := sigCtx.Err() != nil && err != nil && errors.Is(err, core.ErrTimeout)
 	if interrupted {
@@ -489,9 +490,8 @@ func printSummary(w *os.File, mode core.Mode, res *core.Result, rep *metrics.Rep
 	}
 
 	diag := res.GlobalResult.Diagnostics
-	if diag.Recoveries > 0 || diag.Rollbacks > 0 || diag.ReAnneals > 0 {
-		fmt.Fprintf(w, "recoveries:      %d solver, %d rollbacks, %d re-anneals\n",
-			diag.Recoveries, diag.Rollbacks, diag.ReAnneals)
+	if diag.Recoveries > 0 || diag.Rollbacks > 0 {
+		fmt.Fprintf(w, "recoveries:      %d solver, %d rollbacks\n", diag.Recoveries, diag.Rollbacks)
 	}
 	for _, deg := range res.Degradations {
 		if deg.Group >= 0 {

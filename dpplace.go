@@ -133,14 +133,15 @@ func WithRecorder(ctx context.Context, rec *Recorder) context.Context {
 	return obs.NewContext(ctx, rec)
 }
 
-// Place runs the full placement pipeline; see core.Place.
+// Place runs the full placement pipeline to completion; see core.PlaceCtx.
 func Place(nl *Netlist, chip *Core, initial *Placement, opt Options) (*Result, error) {
-	return core.Place(nl, chip, initial, opt)
+	return core.PlaceCtx(context.Background(), nl, chip, initial, opt)
 }
 
-// PlaceCtx is Place with cooperative cancellation; see core.PlaceCtx. On
-// deadline expiry the returned Result is non-nil, carries the best iterate
-// found with Partial set, and the error wraps ErrTimeout.
+// PlaceCtx is Place with cooperative cancellation; see core.PlaceCtx. The
+// context's deadline is the run's wall-clock budget. On expiry the returned
+// Result is non-nil, carries the best iterate found with Partial set, and
+// the error wraps ErrTimeout.
 func PlaceCtx(ctx context.Context, nl *Netlist, chip *Core, initial *Placement, opt Options) (*Result, error) {
 	return core.PlaceCtx(ctx, nl, chip, initial, opt)
 }

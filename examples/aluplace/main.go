@@ -11,35 +11,33 @@ import (
 	"log"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/gen"
-	"repro/internal/metrics"
+	dpplace "repro"
 )
 
 func main() {
-	bench := gen.Generate(gen.Config{
+	bench := dpplace.Generate(dpplace.BenchConfig{
 		Name:        "alu16",
 		Seed:        42,
 		Bits:        16,
-		Units:       []gen.UnitKind{gen.MuxTree, gen.Adder, gen.Shifter, gen.RegBank},
+		Units:       []dpplace.UnitKind{dpplace.MuxTree, dpplace.Adder, dpplace.Shifter, dpplace.RegBank},
 		RandomCells: 800,
 	})
 	fmt.Printf("alu16: %d cells, %d nets, %.0f%% datapath cells\n\n",
 		bench.Netlist.NumCells(), bench.Netlist.NumNets(), bench.DatapathFraction()*100)
 
 	type outcome struct {
-		res *core.Result
-		rep metrics.Report
+		res *dpplace.Result
+		rep dpplace.Report
 	}
-	run := func(mode core.Mode) outcome {
-		res, err := core.Place(bench.Netlist, bench.Core, bench.Placement, core.Options{Mode: mode})
+	run := func(mode dpplace.Mode) outcome {
+		res, err := dpplace.Place(bench.Netlist, bench.Core, bench.Placement, dpplace.Options{Mode: mode})
 		if err != nil {
 			log.Fatalf("%v: %v", mode, err)
 		}
-		return outcome{res, metrics.Evaluate(bench.Netlist, res.Placement, bench.Core, metrics.Options{})}
+		return outcome{res, dpplace.Evaluate(bench.Netlist, res.Placement, bench.Core, dpplace.ReportOptions{})}
 	}
-	base := run(core.Baseline)
-	sa := run(core.StructureAware)
+	base := run(dpplace.Baseline)
+	sa := run(dpplace.StructureAware)
 
 	fmt.Printf("%-22s %12s %12s %8s\n", "metric", "baseline", "struct-aware", "ratio")
 	row := func(name string, b, s float64) {
@@ -61,7 +59,7 @@ func main() {
 }
 
 // render draws the placement on a coarse character grid.
-func render(bench *gen.Benchmark, res *core.Result) string {
+func render(bench *dpplace.Benchmark, res *dpplace.Result) string {
 	const w, h = 96, 28
 	grid := make([][]byte, h)
 	for i := range grid {

@@ -8,20 +8,19 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/datapath"
-	"repro/internal/gen"
+	dpplace "repro"
 )
 
 func main() {
-	cfg := gen.Config{
+	cfg := dpplace.BenchConfig{
 		Name:        "scrambled",
 		Seed:        9,
 		Bits:        16,
-		Units:       []gen.UnitKind{gen.Adder, gen.MuxTree, gen.Shifter, gen.RegBank},
+		Units:       []dpplace.UnitKind{dpplace.Adder, dpplace.MuxTree, dpplace.Shifter, dpplace.RegBank},
 		RandomCells: 600,
 		Scramble:    true, // strip every bus index from the net names
 	}
-	bench := gen.Generate(cfg)
+	bench := dpplace.Generate(cfg)
 	fmt.Printf("design: %d cells, %d nets, names scrambled\n\n",
 		bench.Netlist.NumCells(), bench.Netlist.NumNets())
 
@@ -29,22 +28,22 @@ func main() {
 	// inference must carry the extraction alone.
 	for _, mode := range []struct {
 		name string
-		opt  datapath.Options
+		opt  dpplace.ExtractOptions
 	}{
-		{"name-based only", func() datapath.Options {
-			o := datapath.DefaultOptions()
+		{"name-based only", func() dpplace.ExtractOptions {
+			o := dpplace.DefaultExtractOptions()
 			o.UseStructural = false
 			return o
 		}()},
-		{"structural only", func() datapath.Options {
-			o := datapath.DefaultOptions()
+		{"structural only", func() dpplace.ExtractOptions {
+			o := dpplace.DefaultExtractOptions()
 			o.UseNames = false
 			return o
 		}()},
-		{"both (default)", datapath.DefaultOptions()},
+		{"both (default)", dpplace.DefaultExtractOptions()},
 	} {
-		ext := datapath.Extract(bench.Netlist, mode.opt)
-		score := datapath.Compare(bench.Truth, ext.Labels())
+		ext := dpplace.Extract(bench.Netlist, mode.opt)
+		score := dpplace.ScoreExtraction(bench.Truth, ext.Labels())
 		fmt.Printf("%-18s groups=%d grouped=%d  precision=%.3f recall=%.3f F1=%.3f\n",
 			mode.name, len(ext.Groups), ext.NumGrouped(),
 			score.Precision, score.Recall, score.F1)
@@ -55,9 +54,9 @@ func main() {
 
 	fmt.Println("\nThe same design with names intact:")
 	cfg.Scramble = false
-	named := gen.Generate(cfg)
-	ext := datapath.Extract(named.Netlist, datapath.DefaultOptions())
-	score := datapath.Compare(named.Truth, ext.Labels())
+	named := dpplace.Generate(cfg)
+	ext := dpplace.Extract(named.Netlist, dpplace.DefaultExtractOptions())
+	score := dpplace.ScoreExtraction(named.Truth, ext.Labels())
 	fmt.Printf("%-18s groups=%d grouped=%d  precision=%.3f recall=%.3f F1=%.3f\n",
 		"named netlist", len(ext.Groups), ext.NumGrouped(),
 		score.Precision, score.Recall, score.F1)

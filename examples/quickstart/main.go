@@ -8,19 +8,17 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/gen"
-	"repro/internal/metrics"
+	dpplace "repro"
 )
 
 func main() {
 	// 1. A benchmark: an 8-bit adder and operand selector chained through
 	//    buses, embedded in 400 cells of random logic.
-	bench := gen.Generate(gen.Config{
+	bench := dpplace.Generate(dpplace.BenchConfig{
 		Name:        "quickstart",
 		Seed:        1,
 		Bits:        8,
-		Units:       []gen.UnitKind{gen.Adder, gen.MuxTree},
+		Units:       []dpplace.UnitKind{dpplace.Adder, dpplace.MuxTree},
 		RandomCells: 400,
 	})
 	fmt.Printf("design: %d cells, %d nets, %.0f%% datapath\n",
@@ -29,8 +27,8 @@ func main() {
 	// 2. The full structure-aware flow: extraction → aligned analytical
 	//    global placement → structure-preserving legalization → detailed
 	//    placement. One call.
-	res, err := core.Place(bench.Netlist, bench.Core, bench.Placement, core.Options{
-		Mode: core.StructureAware,
+	res, err := dpplace.Place(bench.Netlist, bench.Core, bench.Placement, dpplace.Options{
+		Mode: dpplace.StructureAware,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -47,7 +45,7 @@ func main() {
 	fmt.Printf("legal: %v (alignment RMS %.3f — 0 means perfectly bit-aligned)\n",
 		res.LegalityChecked, res.AlignmentRMS)
 
-	rep := metrics.Evaluate(bench.Netlist, res.Placement, bench.Core, metrics.Options{})
+	rep := dpplace.Evaluate(bench.Netlist, res.Placement, bench.Core, dpplace.ReportOptions{})
 	fmt.Printf("metrics: %v\n", rep)
 	fmt.Printf("time: %.2fs total (extract %.0fms, global %.2fs, legal %.0fms, detail %.0fms)\n",
 		res.Times.Total().Seconds(),

@@ -11,9 +11,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/gen"
-	"repro/internal/metrics"
+	dpplace "repro"
 )
 
 func main() {
@@ -28,37 +26,37 @@ func main() {
 		if banks < 1 {
 			banks = 1
 		}
-		kinds := make([]gen.UnitKind, banks)
+		kinds := make([]dpplace.UnitKind, banks)
 		for i := range kinds {
 			// Mostly register banks with the occasional adder between them,
 			// a register-file + accumulate structure.
 			if i%3 == 2 {
-				kinds[i] = gen.Adder
+				kinds[i] = dpplace.Adder
 			} else {
-				kinds[i] = gen.RegBank
+				kinds[i] = dpplace.RegBank
 			}
 		}
-		cfg := gen.Config{
+		cfg := dpplace.BenchConfig{
 			Name:        fmt.Sprintf("rf%.0f", frac*100),
 			Seed:        700 + int64(frac*100),
 			Bits:        16,
 			Units:       kinds,
 			RandomCells: totalCells - banks*bankCells,
 		}
-		bench := gen.Generate(cfg)
+		bench := dpplace.Generate(cfg)
 
-		base, err := core.Place(bench.Netlist, bench.Core, bench.Placement,
-			core.Options{Mode: core.Baseline})
+		base, err := dpplace.Place(bench.Netlist, bench.Core, bench.Placement,
+			dpplace.Options{Mode: dpplace.Baseline})
 		if err != nil {
 			log.Fatal(err)
 		}
-		sa, err := core.Place(bench.Netlist, bench.Core, bench.Placement,
-			core.Options{Mode: core.StructureAware})
+		sa, err := dpplace.Place(bench.Netlist, bench.Core, bench.Placement,
+			dpplace.Options{Mode: dpplace.StructureAware})
 		if err != nil {
 			log.Fatal(err)
 		}
-		baseRep := metrics.Evaluate(bench.Netlist, base.Placement, bench.Core, metrics.Options{})
-		saRep := metrics.Evaluate(bench.Netlist, sa.Placement, bench.Core, metrics.Options{})
+		baseRep := dpplace.Evaluate(bench.Netlist, base.Placement, bench.Core, dpplace.ReportOptions{})
+		saRep := dpplace.Evaluate(bench.Netlist, sa.Placement, bench.Core, dpplace.ReportOptions{})
 
 		fmt.Printf("%-8s %-8s %9.3fx %9.3fx %12.0f %12.0f\n",
 			fmt.Sprintf("%.0f%%", frac*100),

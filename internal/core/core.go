@@ -8,13 +8,13 @@
 // disabled, so measured differences isolate structure-awareness — the
 // evaluation protocol of the paper.
 //
-// The pipeline is resilient. The wall-clock budget is enforced
-// cooperatively; on expiry Place returns the best iterate found so far with
-// Result.Partial set and an error wrapping pipeline.ErrTimeout, instead of
-// nothing. Degenerate extraction output and repeatedly diverging
-// structure-aware solves degrade gracefully to the baseline flow for the
-// affected groups (policy-controlled via Options.OnDegrade), recording what
-// happened in Result.Degradations.
+// The pipeline is resilient. The context's deadline is the run's wall-clock
+// budget, enforced cooperatively; on expiry PlaceCtx returns the best
+// iterate found so far with Result.Partial set and an error wrapping
+// pipeline.ErrTimeout, instead of nothing. Degenerate extraction output and
+// repeatedly diverging structure-aware solves degrade gracefully to the
+// baseline flow for the affected groups (policy-controlled via
+// Options.OnDegrade), recording what happened in Result.Degradations.
 package core
 
 import (
@@ -87,12 +87,6 @@ type Options struct {
 	// Global placement parameters. Mode-driven fields (Groups) are set by
 	// the pipeline.
 	Global global.Options
-	// Timeout bounds the whole pipeline's wall clock (0 = none). On expiry
-	// Place returns the best iterate so far with Result.Partial set and an
-	// error wrapping ErrTimeout. Global, legalization and detailed
-	// placement are preempted cooperatively inside their iteration loops;
-	// extraction is checked at the stage boundary.
-	Timeout time.Duration
 	// OnDegrade selects the reaction to degenerate extracted groups and to
 	// a structure-aware solve that repeatedly fails numerical-health checks
 	// (default DegradeFallback).
@@ -156,22 +150,18 @@ type Result struct {
 	Degradations []Degradation
 }
 
-// Place runs the pipeline on a netlist. initial provides fixed-cell
+// PlaceCtx runs the pipeline on a netlist. initial provides fixed-cell
 // positions and the starting point for movables; it is not modified. The
 // returned placement is legal.
-func Place(nl *netlist.Netlist, chip *geom.Core, initial *netlist.Placement, opt Options) (*Result, error) {
-	return PlaceCtx(context.Background(), nl, chip, initial, opt)
-}
-
-// PlaceCtx is Place with cooperative cancellation: the context (further
-// bounded by Options.Timeout) is threaded through every stage down to the
-// inner solver iterations. On expiry the returned Result is non-nil,
+//
+// The context is the run's one stop signal: it is threaded through every
+// stage down to the inner solver iterations, and its deadline is the run's
+// wall-clock budget. Global, legalization and detailed placement are
+// preempted cooperatively inside their iteration loops; extraction is
+// checked at the stage boundary. On expiry the returned Result is non-nil,
 // carries the best iterate found so far with Partial set, and the error
 // wraps ErrTimeout.
 func PlaceCtx(ctx context.Context, nl *netlist.Netlist, chip *geom.Core, initial *netlist.Placement, opt Options) (*Result, error) {
-	ctx, cancel := pipeline.WithBudget(ctx, opt.Timeout)
-	defer cancel()
-
 	rec := obs.From(ctx)
 	root := rec.Span("place")
 	defer root.End()

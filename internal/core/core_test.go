@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -20,7 +21,7 @@ func pipelineBench(t *testing.T) *gen.Benchmark {
 
 func TestPipelineBaseline(t *testing.T) {
 	b := pipelineBench(t)
-	res, err := core.Place(b.Netlist, b.Core, b.Placement, core.Options{Mode: core.Baseline})
+	res, err := core.PlaceCtx(context.Background(), b.Netlist, b.Core, b.Placement, core.Options{Mode: core.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestPipelineBaseline(t *testing.T) {
 
 func TestPipelineStructureAware(t *testing.T) {
 	b := pipelineBench(t)
-	res, err := core.Place(b.Netlist, b.Core, b.Placement, core.Options{Mode: core.StructureAware})
+	res, err := core.PlaceCtx(context.Background(), b.Netlist, b.Core, b.Placement, core.Options{Mode: core.StructureAware})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestPipelineStructureAware(t *testing.T) {
 
 func TestPipelineStructureAwareBeatsBaselineOnAlignment(t *testing.T) {
 	b := pipelineBench(t)
-	sa, err := core.Place(b.Netlist, b.Core, b.Placement, core.Options{Mode: core.StructureAware})
+	sa, err := core.PlaceCtx(context.Background(), b.Netlist, b.Core, b.Placement, core.Options{Mode: core.StructureAware})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestPipelineStructureAwareBeatsBaselineOnAlignment(t *testing.T) {
 func TestPipelineInitialNotMutated(t *testing.T) {
 	b := pipelineBench(t)
 	before := b.Placement.Clone()
-	if _, err := core.Place(b.Netlist, b.Core, b.Placement, core.Options{
+	if _, err := core.PlaceCtx(context.Background(), b.Netlist, b.Core, b.Placement, core.Options{
 		Mode: core.Baseline, Global: globalFast(),
 	}); err != nil {
 		t.Fatal(err)

@@ -36,12 +36,12 @@ var largeStageInput = sync.OnceValues(func() (stageInput, error) {
 	in.groups = global.AlignGroupsFromExtraction(datapath.Extract(b.Netlist, datapath.DefaultOptions()))
 	global.InitQuadratic(b.Netlist, in.global, b.Core)
 	in.groups = global.SplitWideGroups(b.Netlist, in.global, b.Core, in.groups, 0.95)
-	if _, err := global.Place(b.Netlist, in.global, b.Core,
+	if _, err := global.PlaceCtx(context.Background(), b.Netlist, in.global, b.Core,
 		global.Options{Groups: in.groups, SkipQuadraticInit: true}); err != nil {
 		return in, err
 	}
 	in.legal = in.global.Clone()
-	_, err := legal.Legalize(b.Netlist, in.legal, b.Core, legal.Options{Groups: in.groups})
+	_, err := legal.LegalizeCtx(context.Background(), b.Netlist, in.legal, b.Core, legal.Options{Groups: in.groups})
 	return in, err
 })
 

@@ -12,9 +12,10 @@
 package datapath
 
 import (
-	"hash/fnv"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/netlist"
 )
@@ -50,22 +51,22 @@ func CellSigs(nl *netlist.Netlist) []Sig {
 			pin := nl.Pin(pid)
 			keys = append(keys, pinKey{name: pin.Name, dir: pin.Dir})
 		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a].name != keys[b].name {
-				return keys[a].name < keys[b].name
+		// Keys that compare equal are equal in every hashed field, so an
+		// unstable sort hashes the same stream.
+		slices.SortFunc(keys, func(a, b pinKey) int {
+			if c := strings.Compare(a.name, b.name); c != 0 {
+				return c
 			}
-			return keys[a].dir < keys[b].dir
+			return cmp.Compare(a.dir, b.dir)
 		})
-		h := fnv.New64a()
-		writeString(h, cell.Type)
-		writeU64(h, sizeClass(cell.W))
-		writeU64(h, sizeClass(cell.H))
-		writeU64(h, uint64(len(cell.Pins)))
+		h := fnvOffset.str(cell.Type).
+			u64(sizeClass(cell.W)).
+			u64(sizeClass(cell.H)).
+			u64(uint64(len(cell.Pins)))
 		for _, k := range keys {
-			writeString(h, k.name)
-			writeU64(h, uint64(k.dir))
+			h = h.str(k.name).u64(uint64(k.dir))
 		}
-		sigs[ci] = Sig(h.Sum64())
+		sigs[ci] = Sig(h)
 	}
 	return sigs
 }
@@ -92,40 +93,51 @@ func NetSigs(nl *netlist.Netlist, cellSigs []Sig) []Sig {
 			}
 			keys = append(keys, endKey{cellSig: cs, pin: pin.Name, dir: pin.Dir})
 		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a].cellSig != keys[b].cellSig {
-				return keys[a].cellSig < keys[b].cellSig
+		slices.SortFunc(keys, func(a, b endKey) int {
+			if c := cmp.Compare(a.cellSig, b.cellSig); c != 0 {
+				return c
 			}
-			if keys[a].pin != keys[b].pin {
-				return keys[a].pin < keys[b].pin
+			if c := strings.Compare(a.pin, b.pin); c != 0 {
+				return c
 			}
-			return keys[a].dir < keys[b].dir
+			return cmp.Compare(a.dir, b.dir)
 		})
-		h := fnv.New64a()
-		writeU64(h, uint64(net.Degree()))
+		h := fnvOffset.u64(uint64(net.Degree()))
 		for _, k := range keys {
-			writeU64(h, uint64(k.cellSig))
-			writeString(h, k.pin)
-			writeU64(h, uint64(k.dir))
+			h = h.u64(uint64(k.cellSig)).str(k.pin).u64(uint64(k.dir))
 		}
-		sigs[ni] = Sig(h.Sum64())
+		sigs[ni] = Sig(h)
 	}
 	return sigs
 }
 
-type hash64 interface {
-	Write(p []byte) (int, error)
+// fnv64a is a running 64-bit FNV-1a hash (the function hash/fnv's New64a
+// computes), held as a value so hashing allocates nothing.
+type fnv64a uint64
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset fnv64a = 14695981039346656037
+	fnvPrime  fnv64a = 1099511628211
+)
+
+// add hashes one byte.
+func (h fnv64a) add(b byte) fnv64a {
+	return (h ^ fnv64a(b)) * fnvPrime
 }
 
-func writeString(h hash64, s string) {
-	h.Write([]byte(s))
-	h.Write([]byte{0})
-}
-
-func writeU64(h hash64, v uint64) {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
+// str hashes the bytes of s followed by a zero byte.
+func (h fnv64a) str(s string) fnv64a {
+	for i := 0; i < len(s); i++ {
+		h = h.add(s[i])
 	}
-	h.Write(b[:])
+	return h.add(0)
+}
+
+// u64 hashes v as eight little-endian bytes.
+func (h fnv64a) u64(v uint64) fnv64a {
+	for i := 0; i < 8; i++ {
+		h = h.add(byte(v >> (8 * i)))
+	}
+	return h
 }

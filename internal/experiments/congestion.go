@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -23,7 +24,7 @@ func Table10(cfgs []gen.Config, opts RunOpts) (*Table, error) {
 	place := func(b *gen.Benchmark, enable bool) (*core.Result, metrics.Report, error) {
 		gOpt := opts.globalOpts()
 		gOpt.Congestion = congestion.Options{Enable: enable}
-		res, err := core.Place(b.Netlist, b.Core, b.Placement, core.Options{
+		res, err := core.PlaceCtx(context.Background(), b.Netlist, b.Core, b.Placement, core.Options{
 			Mode:   core.StructureAware,
 			Global: gOpt,
 		})

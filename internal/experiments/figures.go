@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -14,7 +15,7 @@ func runModel(cfg gen.Config, model string, opts RunOpts) (*core.Result, error) 
 	b := gen.Generate(cfg)
 	g := opts.globalOpts()
 	g.WLModel = model
-	res, err := core.Place(b.Netlist, b.Core, b.Placement, core.Options{
+	res, err := core.PlaceCtx(context.Background(), b.Netlist, b.Core, b.Placement, core.Options{
 		Mode:   core.Baseline,
 		Global: g,
 	})
@@ -113,7 +114,7 @@ func Figure6(cfg gen.Config, opts RunOpts) (*Table, error) {
 				align: global.AlignmentScore(groups, b.Core.RowH(), cx, cy),
 			})
 		}
-		if _, err := global.Place(b.Netlist, pl, b.Core, g); err != nil {
+		if _, err := global.PlaceCtx(context.Background(), b.Netlist, pl, b.Core, g); err != nil {
 			return nil, err
 		}
 		return pts, nil
@@ -170,7 +171,7 @@ func Figure7(cfg gen.Config, opts RunOpts) (*Table, error) {
 		// mode has no α (alignment is exact by variable substitution).
 		g.AlignMode = global.AlignSoft
 		g.AlignWeight = mult
-		res, err := global.Place(b.Netlist, pl, b.Core, g)
+		res, err := global.PlaceCtx(context.Background(), b.Netlist, pl, b.Core, g)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/datapath"
 	"repro/internal/gen"
 	"repro/internal/netlist"
@@ -17,7 +19,7 @@ func coreExtract(b *gen.Benchmark) *datapath.Extraction {
 // HPWL (Inf-like large value on failure so sweeps keep going).
 func legalizeFor(b *gen.Benchmark, pl *netlist.Placement, groups []global.AlignGroup) float64 {
 	cp := pl.Clone()
-	if _, err := legal.Legalize(b.Netlist, cp, b.Core, legal.Options{Groups: groups}); err != nil {
+	if _, err := legal.LegalizeCtx(context.Background(), b.Netlist, cp, b.Core, legal.Options{Groups: groups}); err != nil {
 		return -1
 	}
 	return cp.HPWL(b.Netlist)

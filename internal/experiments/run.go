@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -44,7 +45,7 @@ func RunCase(cfg gen.Config, opts RunOpts) (*Case, error) {
 	c := &Case{Cfg: cfg, Bench: b}
 
 	sw := obs.StartStopwatch()
-	base, err := core.Place(b.Netlist, b.Core, b.Placement, core.Options{
+	base, err := core.PlaceCtx(context.Background(), b.Netlist, b.Core, b.Placement, core.Options{
 		Mode:   core.Baseline,
 		Global: opts.globalOpts(),
 	})
@@ -56,7 +57,7 @@ func RunCase(cfg gen.Config, opts RunOpts) (*Case, error) {
 	c.BaseRep = metrics.Evaluate(b.Netlist, base.Placement, b.Core, metrics.Options{})
 
 	sw = obs.StartStopwatch()
-	sa, err := core.Place(b.Netlist, b.Core, b.Placement, core.Options{
+	sa, err := core.PlaceCtx(context.Background(), b.Netlist, b.Core, b.Placement, core.Options{
 		Mode:   core.StructureAware,
 		Global: opts.globalOpts(),
 	})

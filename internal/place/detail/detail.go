@@ -89,6 +89,12 @@ type improver struct {
 	opt  Options
 
 	cellNets [][]netlist.NetID // dedup nets per cell
+
+	// netStamp[n] == stamp marks net n as seen by the current
+	// deduplication; bumping stamp forgets every mark at once.
+	netStamp []uint32
+	stamp    uint32
+	nets     []netlist.NetID // netsOf's reused result
 }
 
 func (d *improver) locked(c netlist.CellID) bool {
@@ -101,31 +107,51 @@ func (d *improver) locked(c netlist.CellID) bool {
 func (d *improver) buildAdjacency() {
 	nl := d.nl
 	d.cellNets = make([][]netlist.NetID, nl.NumCells())
+	d.netStamp = make([]uint32, nl.NumNets())
 	for i := range nl.Cells {
-		seen := map[netlist.NetID]bool{}
+		d.newStamp()
 		for _, pid := range nl.Cells[i].Pins {
-			ni := nl.Pin(pid).Net
-			if !seen[ni] {
-				seen[ni] = true
+			if ni := nl.Pin(pid).Net; d.firstSeen(ni) {
 				d.cellNets[i] = append(d.cellNets[i], ni)
 			}
 		}
 	}
 }
 
-// netsOf returns the deduplicated union of nets touching the given cells.
+// newStamp starts a deduplication: no net counts as seen.
+func (d *improver) newStamp() {
+	d.stamp++
+	if d.stamp == 0 {
+		// Wrapped: clear the marks so no stale one equals the new stamp.
+		clear(d.netStamp)
+		d.stamp = 1
+	}
+}
+
+// firstSeen marks net ni seen and reports whether it was not seen before in
+// the current deduplication.
+func (d *improver) firstSeen(ni netlist.NetID) bool {
+	if d.netStamp[ni] == d.stamp {
+		return false
+	}
+	d.netStamp[ni] = d.stamp
+	return true
+}
+
+// netsOf returns the deduplicated union of nets touching the given cells,
+// in first-seen order, so wlOf sums them in a fixed order. The slice is
+// reused: it holds only until the next call.
 func (d *improver) netsOf(cells []netlist.CellID) []netlist.NetID {
-	var nets []netlist.NetID
-	seen := map[netlist.NetID]bool{}
+	d.newStamp()
+	d.nets = d.nets[:0]
 	for _, c := range cells {
 		for _, ni := range d.cellNets[c] {
-			if !seen[ni] {
-				seen[ni] = true
-				nets = append(nets, ni)
+			if d.firstSeen(ni) {
+				d.nets = append(d.nets, ni)
 			}
 		}
 	}
-	return nets
+	return d.nets
 }
 
 func (d *improver) wlOf(nets []netlist.NetID) float64 {
@@ -163,6 +189,8 @@ func (d *improver) reorderPass() int {
 	moves := 0
 	rows := d.rowCells()
 	w := d.opt.Window
+	perms := permutations(w)
+	origX := make([]float64, w)
 	for _, cells := range rows {
 		for start := 0; start+w <= len(cells); start++ {
 			win := cells[start : start+w]
@@ -181,7 +209,6 @@ func (d *improver) reorderPass() int {
 			// the pack can never exceed since widths are preserved.
 			nets := d.netsOf(win)
 			before := d.wlOf(nets)
-			origX := make([]float64, w)
 			for i, c := range win {
 				origX[i] = pl.X[c]
 			}
@@ -189,7 +216,6 @@ func (d *improver) reorderPass() int {
 
 			best := before
 			bestPerm := -1
-			perms := permutations(w)
 			for pi, perm := range perms {
 				x := left
 				for _, k := range perm {

@@ -1,6 +1,7 @@
 package detail_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datapath"
@@ -23,12 +24,12 @@ func legalBench(t *testing.T) (*gen.Benchmark, *netlist.Placement, []global.Alig
 	ext := datapath.Extract(b.Netlist, datapath.DefaultOptions())
 	groups := global.AlignGroupsFromExtraction(ext)
 	pl := b.Placement.Clone()
-	if _, err := global.Place(b.Netlist, pl, b.Core, global.Options{
+	if _, err := global.PlaceCtx(context.Background(), b.Netlist, pl, b.Core, global.Options{
 		MaxOuterIters: 16, InnerIters: 30, Groups: groups,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := legal.Legalize(b.Netlist, pl, b.Core, legal.Options{Groups: groups}); err != nil {
+	if _, err := legal.LegalizeCtx(context.Background(), b.Netlist, pl, b.Core, legal.Options{Groups: groups}); err != nil {
 		t.Fatal(err)
 	}
 	return b, pl, groups

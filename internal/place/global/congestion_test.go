@@ -1,6 +1,7 @@
 package global
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/netlist"
@@ -12,7 +13,7 @@ import (
 func congPlace(t *testing.T, o Options) (*netlist.Placement, Result) {
 	t.Helper()
 	nl, pl, core := randProblem(11, 240, 360)
-	res, err := Place(nl, pl, core, o)
+	res, err := PlaceCtx(context.Background(), nl, pl, core, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package global_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestInitQuadraticPullsTowardPads(t *testing.T) {
 func TestPlaceBaselineSpreads(t *testing.T) {
 	b := testBench(t)
 	pl := b.Placement.Clone()
-	res, err := global.Place(b.Netlist, pl, b.Core, global.Options{
+	res, err := global.PlaceCtx(context.Background(), b.Netlist, pl, b.Core, global.Options{
 		MaxOuterIters: 20,
 		InnerIters:    40,
 	})
@@ -82,14 +83,14 @@ func TestPlaceStructureAwareAligns(t *testing.T) {
 	groups := global.AlignGroupsFromExtraction(ext)
 
 	base := b.Placement.Clone()
-	resBase, err := global.Place(b.Netlist, base, b.Core, global.Options{
+	resBase, err := global.PlaceCtx(context.Background(), b.Netlist, base, b.Core, global.Options{
 		MaxOuterIters: 20, InnerIters: 40,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sa := b.Placement.Clone()
-	resSA, err := global.Place(b.Netlist, sa, b.Core, global.Options{
+	resSA, err := global.PlaceCtx(context.Background(), b.Netlist, sa, b.Core, global.Options{
 		MaxOuterIters: 20, InnerIters: 40, Groups: groups,
 	})
 	if err != nil {
@@ -118,7 +119,7 @@ func TestPlaceTraceAndModels(t *testing.T) {
 	b := testBench(t)
 	var traces []global.TracePoint
 	pl := b.Placement.Clone()
-	_, err := global.Place(b.Netlist, pl, b.Core, global.Options{
+	_, err := global.PlaceCtx(context.Background(), b.Netlist, pl, b.Core, global.Options{
 		MaxOuterIters: 6, InnerIters: 15, WLModel: "lse",
 		Trace: func(tp global.TracePoint) { traces = append(traces, tp) },
 	})
@@ -134,7 +135,7 @@ func TestPlaceTraceAndModels(t *testing.T) {
 		}
 	}
 	// Unknown model rejected.
-	if _, err := global.Place(b.Netlist, pl, b.Core, global.Options{WLModel: "bogus"}); err == nil {
+	if _, err := global.PlaceCtx(context.Background(), b.Netlist, pl, b.Core, global.Options{WLModel: "bogus"}); err == nil {
 		t.Error("bogus model accepted")
 	}
 }

@@ -261,7 +261,7 @@ func TestDeltaReuseIsExact(t *testing.T) {
 func TestPlaceWorkersBitIdentical(t *testing.T) {
 	base := func(workers int) *netlist.Placement {
 		nl, pl, core := randProblem(7, 260, 380)
-		_, err := Place(nl, pl, core, Options{
+		_, err := PlaceCtx(context.Background(), nl, pl, core, Options{
 			MaxOuterIters: 6, InnerIters: 20, Workers: workers,
 		})
 		if err != nil {

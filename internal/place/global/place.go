@@ -149,16 +149,8 @@ type Diagnostics struct {
 	// pathological line-search resets inside opt.Minimize.
 	Recoveries int
 	// Rollbacks counts outer-loop restorations of the best iterate after a
-	// diverged inner solve.
+	// diverged inner solve; each one also re-anneals γ and λ.
 	Rollbacks int
-	// ReAnneals counts γ/λ re-annealing events that accompany a rollback.
-	ReAnneals int
-	// Partial is set when a deadline stopped the λ-schedule early; the
-	// committed placement is the best iterate found so far.
-	Partial bool
-	// Diverged is set when the health guard gave up (the run returned an
-	// error wrapping pipeline.ErrDiverged).
-	Diverged bool
 }
 
 func (o *Options) fillDefaults() {
@@ -179,20 +171,15 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// Place runs analytical global placement, updating pl in place (movable
+// PlaceCtx runs analytical global placement, updating pl in place (movable
 // cells only). The returned placement is spread but not legalized; in hard
 // alignment mode the extracted groups come out exactly bit-aligned.
-func Place(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Options) (Result, error) {
-	return PlaceCtx(context.Background(), nl, pl, core, o)
-}
-
-// PlaceCtx is Place with cooperative cancellation. The context is polled in
-// the outer λ-schedule loop and inside every conjugate-gradient iteration;
-// on expiry the best iterate found so far is committed to pl, the returned
-// Result has Diagnostics.Partial set, and the error wraps
-// pipeline.ErrTimeout. When the numerical-health guard gives up after
-// repeated divergence the best iterate is likewise committed and the error
-// wraps pipeline.ErrDiverged.
+//
+// The context is polled in the outer λ-schedule loop and inside every
+// conjugate-gradient iteration; on expiry the best iterate found so far is
+// committed to pl and the error wraps pipeline.ErrTimeout. When the
+// numerical-health guard gives up after repeated divergence the best
+// iterate is likewise committed and the error wraps pipeline.ErrDiverged.
 func PlaceCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Options) (Result, error) {
 	o.fillDefaults()
 	switch o.WLModel {
@@ -863,7 +850,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 	var stageErr error
 	for outer := 0; outer < e.o.MaxOuterIters; outer++ {
 		if pipeline.Expired(ctx) {
-			res.Diagnostics.Partial = true
 			stageErr = pipeline.StageError("global", pipeline.ErrTimeout)
 			rec.Event("global", "deadline")
 			rec.Logf(obs.Warn, "global",
@@ -905,7 +891,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 			// — so the next stage re-approaches the barrier gradually.
 			diverged++
 			res.Diagnostics.Rollbacks++
-			res.Diagnostics.ReAnneals++
 			if bestOv < math.Inf(1) {
 				copy(v, bestV)
 			} else {
@@ -922,7 +907,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 				"inner solve diverged at outer %d; rolled back and re-annealed (λ→%.3g, γ boost ×%g)",
 				outer, e.lambda, gammaBoost)
 			if diverged >= 2 {
-				res.Diagnostics.Diverged = true
 				stageErr = pipeline.StageError("global", pipeline.ErrDiverged)
 				rec.Logf(obs.Warn, "global", "health guard gave up after %d diverged stages", diverged)
 				break
@@ -960,7 +944,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 			rec.OuterIter("global", p)
 		}
 		if r.Stopped {
-			res.Diagnostics.Partial = true
 			stageErr = pipeline.StageError("global", pipeline.ErrTimeout)
 			break
 		}
@@ -990,7 +973,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		res.DeltaEvals += int64(r.Iters)
 		res.Diagnostics.Recoveries += r.Recoveries
 		if r.Stopped {
-			res.Diagnostics.Partial = true
 			stageErr = pipeline.StageError("global", pipeline.ErrTimeout)
 		}
 		e.clampVars(v)

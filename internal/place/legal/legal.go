@@ -32,17 +32,13 @@ type Result struct {
 	GroupFallbacks    int // groups dissolved into plain cells (no fit)
 }
 
-// Legalize updates pl in place. The incoming placement must be inside the
+// LegalizeCtx updates pl in place. The incoming placement must be inside the
 // core region; the outgoing placement satisfies Placement.CheckLegal.
-func Legalize(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, opt Options) (Result, error) {
-	return LegalizeCtx(context.Background(), nl, pl, core, opt)
-}
-
-// LegalizeCtx is Legalize with cooperative cancellation. The context is
-// polled between group blocks and periodically inside the Abacus scan; on
-// expiry the error wraps pipeline.ErrTimeout and the placement is only
-// partially legalized (cells processed so far are legal, the rest keep
-// their global positions).
+//
+// The context is polled between group blocks and periodically inside the
+// Abacus scan; on expiry the error wraps pipeline.ErrTimeout and the
+// placement is only partially legalized (cells processed so far are legal,
+// the rest keep their global positions).
 func LegalizeCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, opt Options) (Result, error) {
 	before := pl.Clone()
 	l := newLegalizer(nl, pl, core)

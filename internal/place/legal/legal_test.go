@@ -1,6 +1,7 @@
 package legal_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,7 +24,7 @@ func placedBench(t *testing.T) (*gen.Benchmark, *netlist.Placement, []global.Ali
 	ext := datapath.Extract(b.Netlist, datapath.DefaultOptions())
 	groups := global.AlignGroupsFromExtraction(ext)
 	pl := b.Placement.Clone()
-	if _, err := global.Place(b.Netlist, pl, b.Core, global.Options{
+	if _, err := global.PlaceCtx(context.Background(), b.Netlist, pl, b.Core, global.Options{
 		MaxOuterIters: 18, InnerIters: 35, Groups: groups,
 	}); err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func placedBench(t *testing.T) (*gen.Benchmark, *netlist.Placement, []global.Ali
 
 func TestLegalizeProducesLegalPlacement(t *testing.T) {
 	b, pl, groups := placedBench(t)
-	res, err := legal.Legalize(b.Netlist, pl, b.Core, legal.Options{Groups: groups})
+	res, err := legal.LegalizeCtx(context.Background(), b.Netlist, pl, b.Core, legal.Options{Groups: groups})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestLegalizeProducesLegalPlacement(t *testing.T) {
 
 func TestLegalizePreservesGroupAlignment(t *testing.T) {
 	b, pl, groups := placedBench(t)
-	if _, err := legal.Legalize(b.Netlist, pl, b.Core, legal.Options{Groups: groups}); err != nil {
+	if _, err := legal.LegalizeCtx(context.Background(), b.Netlist, pl, b.Core, legal.Options{Groups: groups}); err != nil {
 		t.Fatal(err)
 	}
 	// Every block-placed group: same-column cells share x exactly; bit b
@@ -82,7 +83,7 @@ func TestLegalizePreservesGroupAlignment(t *testing.T) {
 
 func TestLegalizeBaselineNoGroups(t *testing.T) {
 	b, pl, _ := placedBench(t)
-	if _, err := legal.Legalize(b.Netlist, pl, b.Core, legal.Options{}); err != nil {
+	if _, err := legal.LegalizeCtx(context.Background(), b.Netlist, pl, b.Core, legal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.CheckLegal(b.Netlist, b.Core); err != nil {
@@ -112,7 +113,7 @@ func TestLegalizeRespectsFixedObstacles(t *testing.T) {
 	for i, c := range cells {
 		pl.SetLoc(c, geom.Point{X: 45 + float64(i%3), Y: 25})
 	}
-	if _, err := legal.Legalize(nl, pl, core, legal.Options{}); err != nil {
+	if _, err := legal.LegalizeCtx(context.Background(), nl, pl, core, legal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.CheckLegal(nl, core); err != nil {
@@ -139,7 +140,7 @@ func TestLegalizeTallCell(t *testing.T) {
 	pl := netlist.NewPlacement(nl)
 	pl.SetLoc(tall, geom.Point{X: 50.3, Y: 23.7})
 	pl.SetLoc(small, geom.Point{X: 50.4, Y: 23.9})
-	if _, err := legal.Legalize(nl, pl, core, legal.Options{}); err != nil {
+	if _, err := legal.LegalizeCtx(context.Background(), nl, pl, core, legal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.CheckLegal(nl, core); err != nil {
@@ -157,7 +158,7 @@ func TestLegalizeOverfullFails(t *testing.T) {
 	nl.MustAddNet("n", 1, ends...)
 	core := geom.NewCore(geom.NewRect(0, 0, 50, 20), 10, 1) // 100 sites for 300 width
 	pl := netlist.NewPlacement(nl)
-	if _, err := legal.Legalize(nl, pl, core, legal.Options{}); err == nil {
+	if _, err := legal.LegalizeCtx(context.Background(), nl, pl, core, legal.Options{}); err == nil {
 		t.Fatal("over-full design legalized successfully?!")
 	}
 }
@@ -179,7 +180,7 @@ func TestLegalizeSearchesTwelveRows(t *testing.T) {
 	pl := netlist.NewPlacement(nl)
 	pl.SetLoc(blk, geom.Point{X: 0, Y: 0})
 	pl.SetLoc(c, geom.Point{X: 10, Y: 0})
-	res, err := legal.Legalize(nl, pl, core, legal.Options{})
+	res, err := legal.LegalizeCtx(context.Background(), nl, pl, core, legal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

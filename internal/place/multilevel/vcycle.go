@@ -90,11 +90,6 @@ type levelState struct {
 	frozen []bool
 }
 
-// Place runs the V-cycle without cancellation; see PlaceCtx.
-func Place(nl *netlist.Netlist, pl *netlist.Placement, chip *geom.Core, o Options) (Result, error) {
-	return PlaceCtx(context.Background(), nl, pl, chip, o)
-}
-
 // PlaceCtx coarsens the netlist bottom-up, places the coarsest cluster
 // netlist with the analytical engine, then walks back down: each finer level
 // starts from the interpolated cluster positions and refines them under a
@@ -133,7 +128,6 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement, c
 			if k < top {
 				cascade(maps, levels, k+1)
 			}
-			res.Global.Diagnostics.Partial = true
 			return res, pipeline.StageError("multilevel", pipeline.ErrTimeout)
 		}
 		if k < top {

@@ -23,7 +23,7 @@ func TestBinOverflowAccounting(t *testing.T) {
 		nets = append(nets, []int{2 * i, 2*i + 1})
 	}
 	nl, pl := grDesign(t, locs, nets)
-	res := GlobalRoute(nl, pl, geom.NewRect(0, 0, 100, 100),
+	res := GlobalRouteCtx(context.Background(), nl, pl, geom.NewRect(0, 0, 100, 100),
 		GRouteOptions{NX: 10, NY: 10, CapacityFactor: 0.15})
 	if res.Overflow == 0 {
 		t.Fatal("pinched design did not overflow; accounting is unobservable")
@@ -56,7 +56,7 @@ func TestBinOverflowAccounting(t *testing.T) {
 // all-zero map and zero bin count.
 func TestBinOverflowAbsentWhenClean(t *testing.T) {
 	nl, pl := grDesign(t, [][2]float64{{5, 5}, {85, 45}}, [][]int{{0, 1}})
-	res := GlobalRoute(nl, pl, geom.NewRect(0, 0, 100, 50), GRouteOptions{NX: 20, NY: 10})
+	res := GlobalRouteCtx(context.Background(), nl, pl, geom.NewRect(0, 0, 100, 50), GRouteOptions{NX: 20, NY: 10})
 	if res.Overflow != 0 {
 		t.Fatalf("single net overflowed: %v", res.Overflow)
 	}

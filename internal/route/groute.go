@@ -71,17 +71,14 @@ type grEdgeRef struct {
 func (r *grouter) hIdx(i, j int) int { return j*(r.grid.NX-1) + i }
 func (r *grouter) vIdx(i, j int) int { return j*r.grid.NX + i }
 
-// GlobalRoute routes every net of the placement over a coarse grid with
+// GlobalRouteCtx routes every net of the placement over a coarse grid with
 // L/Z-pattern routing and congestion-driven rip-up-and-reroute. It is the
 // routed-wirelength proxy of the evaluation: unlike RUDY it models detours,
 // so scrambled buses pay for the congestion they cause.
-func GlobalRoute(nl *netlist.Netlist, pl *netlist.Placement, region geom.Rect, opt GRouteOptions) *GRouteResult {
-	return GlobalRouteCtx(context.Background(), nl, pl, region, opt)
-}
-
-// GlobalRouteCtx is GlobalRoute with cooperative cancellation. The context
-// is polled between routing batches and rip-up passes; on expiry the result
-// reflects the segments routed so far and has Partial set.
+//
+// The context is polled between routing batches and rip-up passes; on
+// expiry the result reflects the segments routed so far and has Partial
+// set.
 func GlobalRouteCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement, region geom.Rect, opt GRouteOptions) *GRouteResult {
 	return globalRoute(ctx, nl, pl, region, opt, (*grouter).route)
 }

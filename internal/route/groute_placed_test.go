@@ -47,7 +47,7 @@ func TestGlobalRouteMatchesReferenceOnPlacedDesigns(t *testing.T) {
 			nl, pl, chip := placedDesign(t, cfg, mode, true)
 			for _, capFactor := range []float64{0.8, 0.25} {
 				opt := route.GRouteOptions{NX: 32, NY: 32, CapacityFactor: capFactor}
-				got := route.GlobalRoute(nl, pl, chip.Region, opt)
+				got := route.GlobalRouteCtx(context.Background(), nl, pl, chip.Region, opt)
 				want := route.GlobalRouteRef(nl, pl, chip.Region, opt)
 				name := cfg.Name + "/" + mode.String()
 				if !sameBits(got.WirelengthDB, want.WirelengthDB) || !sameBits(got.Overflow, want.Overflow) ||
@@ -82,6 +82,6 @@ func BenchmarkGlobalRoute(b *testing.B) {
 	opt := route.GRouteOptions{NX: 32, NY: 32, WirePitch: 1, CapacityFactor: 0.8}
 	b.ReportAllocs()
 	for b.Loop() {
-		route.GlobalRoute(nl, pl, chip.Region, opt)
+		route.GlobalRouteCtx(context.Background(), nl, pl, chip.Region, opt)
 	}
 }

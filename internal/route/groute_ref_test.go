@@ -146,7 +146,7 @@ func loadedRouter(rng *rand.Rand, nx, ny int) *grouter {
 // requires route to return exactly the reference router's edge sequence.
 // Segments include pairs in one row or one column and endpoints on the
 // grid border, where the detour window is clipped; each routed path is
-// applied to the usage, as GlobalRoute does, so later segments see the
+// applied to the usage, as GlobalRouteCtx does, so later segments see the
 // congestion of earlier ones.
 func TestRouteMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

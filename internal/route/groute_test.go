@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestGlobalRouteSingleNetLength(t *testing.T) {
 	// Two pins far apart: routed WL ≈ Manhattan distance (bin-quantized).
 	nl, pl := grDesign(t, [][2]float64{{5, 5}, {85, 45}}, [][]int{{0, 1}})
 	region := geom.NewRect(0, 0, 100, 50)
-	res := GlobalRoute(nl, pl, region, GRouteOptions{NX: 20, NY: 10})
+	res := GlobalRouteCtx(context.Background(), nl, pl, region, GRouteOptions{NX: 20, NY: 10})
 	want := 80.0 + 40.0
 	if math.Abs(res.WirelengthDB-want) > 12 {
 		t.Errorf("routed WL = %g, want ≈%g", res.WirelengthDB, want)
@@ -55,7 +56,7 @@ func TestGlobalRouteSingleNetLength(t *testing.T) {
 
 func TestGlobalRouteSameBinIsFree(t *testing.T) {
 	nl, pl := grDesign(t, [][2]float64{{5, 5}, {6, 6}}, [][]int{{0, 1}})
-	res := GlobalRoute(nl, pl, geom.NewRect(0, 0, 100, 100), GRouteOptions{NX: 10, NY: 10})
+	res := GlobalRouteCtx(context.Background(), nl, pl, geom.NewRect(0, 0, 100, 100), GRouteOptions{NX: 10, NY: 10})
 	if res.WirelengthDB != 0 {
 		t.Errorf("intra-bin net routed: %g", res.WirelengthDB)
 	}
@@ -75,7 +76,7 @@ func TestGlobalRouteDetoursAroundCongestion(t *testing.T) {
 	}
 	nl, pl := grDesign(t, locs, nets)
 	region := geom.NewRect(0, 0, 100, 100)
-	res := GlobalRoute(nl, pl, region, GRouteOptions{NX: 10, NY: 10, CapacityFactor: 0.35})
+	res := GlobalRouteCtx(context.Background(), nl, pl, region, GRouteOptions{NX: 10, NY: 10, CapacityFactor: 0.35})
 	straight := float64(n) * 90.0
 	if res.WirelengthDB < straight*1.02 {
 		t.Errorf("no detours under congestion: routed %g vs straight %g", res.WirelengthDB, straight)
@@ -105,7 +106,7 @@ func TestGlobalRouteSkipsMonsterNets(t *testing.T) {
 		conn = append(conn, i)
 	}
 	nl, pl := grDesign(t, locs, [][]int{conn})
-	res := GlobalRoute(nl, pl, geom.NewRect(0, 0, 100, 100), GRouteOptions{})
+	res := GlobalRouteCtx(context.Background(), nl, pl, geom.NewRect(0, 0, 100, 100), GRouteOptions{})
 	if res.SkippedNets != 1 {
 		t.Errorf("SkippedNets = %d, want 1", res.SkippedNets)
 	}

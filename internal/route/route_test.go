@@ -128,7 +128,7 @@ func buildNet(t *testing.T, locs []geom.Point) (*netlist.Netlist, *netlist.Place
 
 func TestSteinerWL(t *testing.T) {
 	nl, pl := buildNet(t, []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}})
-	if got := SteinerWL(nl, pl); got != 10 {
+	if got := SteinerWLPool(context.Background(), nil, nl, pl); got != 10 {
 		t.Errorf("SteinerWL = %g, want 10", got)
 	}
 }
@@ -136,7 +136,7 @@ func TestSteinerWL(t *testing.T) {
 func TestRUDYUniformNet(t *testing.T) {
 	nl, pl := buildNet(t, []geom.Point{{X: 0, Y: 0}, {X: 99, Y: 99}})
 	grid := geom.NewGrid(geom.NewRect(0, 0, 100, 100), 10, 10)
-	cm := RUDY(nl, pl, grid, RUDYOptions{WireWidth: 1, Capacity: 1})
+	cm := RUDYPool(context.Background(), nil, nl, pl, grid, RUDYOptions{WireWidth: 1, Capacity: 1})
 	// Total demand over bins should equal hpwl*wirewidth / capacity (up to
 	// the padding of the box).
 	total := 0.0
@@ -154,7 +154,7 @@ func TestRUDYFlatNet(t *testing.T) {
 	// Horizontal 2-pin net: degenerate bbox must not divide by zero.
 	nl, pl := buildNet(t, []geom.Point{{X: 10, Y: 50}, {X: 90, Y: 50}})
 	grid := geom.NewGrid(geom.NewRect(0, 0, 100, 100), 10, 10)
-	cm := RUDY(nl, pl, grid, RUDYOptions{})
+	cm := RUDYPool(context.Background(), nil, nl, pl, grid, RUDYOptions{})
 	for _, d := range cm.Demand {
 		if math.IsNaN(d) || math.IsInf(d, 0) {
 			t.Fatal("RUDY produced NaN/Inf on flat net")
@@ -182,7 +182,7 @@ func TestRUDYSkipsDegenerateAndSinglePin(t *testing.T) {
 	)
 	pl := netlist.NewPlacement(nl)
 	grid := geom.NewGrid(geom.NewRect(0, 0, 10, 10), 2, 2)
-	cm := RUDY(nl, pl, grid, RUDYOptions{})
+	cm := RUDYPool(context.Background(), nil, nl, pl, grid, RUDYOptions{})
 	for _, d := range cm.Demand {
 		if d != 0 {
 			t.Fatalf("degenerate nets contributed demand: %v", cm.Demand)
@@ -261,7 +261,7 @@ func fmtName(prefix string, i int) string {
 // estimate reduces to the bit-identical total at every worker count.
 func TestSteinerWLParallelMatchesSerial(t *testing.T) {
 	nl, pl := parallelDesign(17, 120, 250)
-	want := SteinerWL(nl, pl)
+	want := SteinerWLPool(context.Background(), nil, nl, pl)
 	for _, workers := range []int{2, 3, 8} {
 		got := SteinerWLPool(context.Background(), par.New(workers), nl, pl)
 		if got != want {
@@ -281,7 +281,7 @@ func TestRUDYParallelMatchesSerial(t *testing.T) {
 	nl, pl := parallelDesign(29, 150, 300)
 	grid := geom.NewGrid(geom.NewRect(0, 0, 200, 200), 24, 24)
 	opt := RUDYOptions{WireWidth: 1.5, Capacity: 0.3}
-	want := RUDY(nl, pl, grid, opt)
+	want := RUDYPool(context.Background(), nil, nl, pl, grid, opt)
 	for _, workers := range []int{2, 3, 8} {
 		got := RUDYPool(context.Background(), par.New(workers), nl, pl, grid, opt)
 		for i := range want.Demand {

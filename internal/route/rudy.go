@@ -24,15 +24,13 @@ type CongestionMap struct {
 	Demand []float64
 }
 
-// RUDY computes the Rectangular Uniform wire DensitY congestion estimate:
-// each net spreads (HPWL · wireWidth) of routing area uniformly over its
-// bounding box. Degenerate (flat) boxes are padded by the wire width.
-func RUDY(nl *netlist.Netlist, pl *netlist.Placement, grid geom.Grid, opt RUDYOptions) *CongestionMap {
-	return RUDYPool(context.Background(), nil, nl, pl, grid, opt)
-}
-
-// RUDYPool is RUDY parallelized across a worker pool. The per-net wire
-// boxes and densities are computed independently in a first pass; the bin
+// RUDYPool computes the Rectangular Uniform wire DensitY congestion
+// estimate: each net spreads (HPWL · wireWidth) of routing area uniformly
+// over its bounding box. Degenerate (flat) boxes are padded by the wire
+// width.
+//
+// The work is parallelized across a worker pool. The per-net wire boxes and
+// densities are computed independently in a first pass; the bin
 // accumulation is then tiled by grid rows, with each row owned by exactly
 // one worker and nets visited in ascending order within it, so every bin
 // receives its contributions in the same order as the serial loop and the

@@ -125,17 +125,13 @@ func containsPoint(pts []geom.Point, q geom.Point) bool {
 	return false
 }
 
-// SteinerWL returns the total weighted Steiner wirelength of a placement.
-func SteinerWL(nl *netlist.Netlist, pl *netlist.Placement) float64 {
-	return SteinerWLPool(context.Background(), nil, nl, pl)
-}
-
-// SteinerWLPool is SteinerWL sharded per net across a worker pool. Each
-// net's tree length is computed independently into a per-net slot; the
-// weighted sum then runs serially in net order, so the result is
-// bit-identical to the serial loop at every worker count. A nil pool runs
-// inline. When ctx expires mid-computation the function returns NaN — the
-// caller sees an unusable metric rather than a silently truncated one.
+// SteinerWLPool returns the total weighted Steiner wirelength of a
+// placement, sharded per net across a worker pool. Each net's tree length
+// is computed independently into a per-net slot; the weighted sum then runs
+// serially in net order, so the result is bit-identical to the serial loop
+// at every worker count. A nil pool runs inline. When ctx expires
+// mid-computation the function returns NaN — the caller sees an unusable
+// metric rather than a silently truncated one.
 func SteinerWLPool(ctx context.Context, pool *par.Pool, nl *netlist.Netlist, pl *netlist.Placement) float64 {
 	lens := make([]float64, len(nl.Nets))
 	err := pool.Run(ctx, len(nl.Nets), 8, func(lo, hi int) {

@@ -42,7 +42,7 @@ func decodeView(t *testing.T, resp *http.Response) View {
 
 func TestHTTPEndToEnd(t *testing.T) {
 	s := newServer(t, Config{Workers: 2})
-	defer s.Close()
+	defer shutdown(t, s)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -107,7 +107,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 func TestHTTPErrorMapping(t *testing.T) {
 	s := newServer(t, Config{Workers: 1, QueueDepth: 1})
-	defer s.Close()
+	defer shutdown(t, s)
 	// Dispatcher intentionally not started: submissions stay queued.
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -196,7 +196,7 @@ func readSSE(t *testing.T, r *bufio.Reader, stop func(sseEvent) bool) []sseEvent
 // state transitions, and stream termination at the terminal state.
 func TestHTTPEventsSSE(t *testing.T) {
 	s := newServer(t, Config{Workers: 1, Heartbeat: 5 * time.Millisecond})
-	defer s.Close()
+	defer shutdown(t, s)
 	// Not started yet: the job waits in the queue while we connect, which
 	// makes at least one heartbeat deterministic.
 	ts := httptest.NewServer(s.Handler())

@@ -21,7 +21,7 @@ var (
 	// retryClassLabels are the retryable slices of the pipeline taxonomy.
 	retryClassLabels = []string{"diverged", "degenerate-groups"}
 	// healthKindLabels are the solver health-guard event kinds.
-	healthKindLabels = []string{"rollbacks", "re_anneals", "baseline_reruns"}
+	healthKindLabels = []string{"rollbacks", "baseline_reruns"}
 	// stageLabels are the pipeline stages with a wall-time series: the whole
 	// core.PlaceCtx call, its four stages, and the evaluation.
 	stageLabels = []string{"place", "extract", "global", "legalize", "detail", "metrics"}
@@ -159,9 +159,7 @@ func (m *serverMetrics) observeResult(res *core.Result) {
 		}
 	}
 	m.degradations.Add(int64(len(res.Degradations)))
-	diag := res.GlobalResult.Diagnostics
-	m.healthEvents.With("rollbacks").Add(int64(diag.Rollbacks))
-	m.healthEvents.With("re_anneals").Add(int64(diag.ReAnneals))
+	m.healthEvents.With("rollbacks").Add(int64(res.GlobalResult.Diagnostics.Rollbacks))
 	for _, d := range res.Degradations {
 		if d.Stage == "global" {
 			m.healthEvents.With("baseline_reruns").Inc()

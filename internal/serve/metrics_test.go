@@ -63,7 +63,7 @@ func waitIdle(t *testing.T, s *Server, timeout time.Duration) {
 func TestMetricsEndToEnd(t *testing.T) {
 	reg := obsmetrics.NewRegistry()
 	s := newServer(t, Config{Workers: 2, Metrics: reg})
-	defer s.Close()
+	defer shutdown(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	s.Start()
@@ -150,7 +150,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 func TestPipelineSeriesFromResults(t *testing.T) {
 	reg := obsmetrics.NewRegistry()
 	s := newServer(t, Config{Workers: 2, Metrics: reg})
-	defer s.Close()
+	defer shutdown(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	s.Start()
@@ -208,7 +208,7 @@ func TestDegradationsReachRegistry(t *testing.T) {
 	defer faultinject.Disable()
 	reg := obsmetrics.NewRegistry()
 	s := newServer(t, Config{Workers: 1, Metrics: reg})
-	defer s.Close()
+	defer shutdown(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	s.Start()
@@ -257,7 +257,7 @@ func TestAdmissionRejectMetrics(t *testing.T) {
 	reg := obsmetrics.NewRegistry()
 	// QueueDepth 1 and no Start: the second submit bounces queue_full.
 	s := newServer(t, Config{Workers: 1, QueueDepth: 1, Metrics: reg})
-	defer s.Close()
+	defer shutdown(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -365,7 +365,7 @@ func TestReadyzFlipsDuringDrain(t *testing.T) {
 func TestHeartbeatCarriesDroppedLines(t *testing.T) {
 	reg := obsmetrics.NewRegistry()
 	s := newServer(t, Config{Workers: 1, Heartbeat: 5 * time.Millisecond, Metrics: reg})
-	defer s.Close()
+	defer shutdown(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

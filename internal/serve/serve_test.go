@@ -52,6 +52,16 @@ func newServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// shutdown stops s at once, by a drain whose deadline has already passed.
+func shutdown(t *testing.T, s *Server) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Drain(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+}
+
 // waitState polls until the job satisfies pred or the deadline passes.
 func waitState(t *testing.T, s *Server, id string, timeout time.Duration, pred func(View) bool) View {
 	t.Helper()
@@ -78,7 +88,7 @@ func waitTerminal(t *testing.T, s *Server, id string, timeout time.Duration) Vie
 
 func TestSubmitRunsToCompletion(t *testing.T) {
 	s := newServer(t, Config{Workers: 2})
-	defer s.Close()
+	defer shutdown(t, s)
 	s.Start()
 
 	v, err := s.Submit(fastSpec("e2e", 11))
@@ -145,15 +155,13 @@ func TestCrashRequeueBitIdentical(t *testing.T) {
 	waitState(t, s1, v.ID, 60*time.Second, func(jv View) bool {
 		return jv.State == StateRunning && s1.Stats().Running == 0
 	})
-	if err := s1.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	shutdown(t, s1)
 	faultinject.Disable()
 
 	// Restart on the same data dir: the journal shows attempt 1 started and
 	// never ended, so the job must be requeued.
 	s2 := newServer(t, Config{Dir: dir, Workers: 1})
-	defer s2.Close()
+	defer shutdown(t, s2)
 	rv, err := s2.Job(v.ID)
 	if err != nil {
 		t.Fatalf("replayed job: %v", err)
@@ -169,7 +177,7 @@ func TestCrashRequeueBitIdentical(t *testing.T) {
 
 	// Reference: the same spec, uninterrupted, in a fresh data dir.
 	ref := newServer(t, Config{Workers: 1})
-	defer ref.Close()
+	defer shutdown(t, ref)
 	ref.Start()
 	rvv, err := ref.Submit(fastSpec("crashy", 42))
 	if err != nil {
@@ -254,7 +262,7 @@ func TestDrainDeadlineCheckpointsAndRestartRequeues(t *testing.T) {
 
 	// The next daemon instance picks the job back up from the journal.
 	s2 := newServer(t, Config{Dir: dir, Workers: 1})
-	defer s2.Close()
+	defer shutdown(t, s2)
 	rv, err := s2.Job(v.ID)
 	if err != nil {
 		t.Fatalf("replayed job: %v", err)
@@ -266,7 +274,7 @@ func TestDrainDeadlineCheckpointsAndRestartRequeues(t *testing.T) {
 
 func TestCancelQueuedAndRunning(t *testing.T) {
 	s := newServer(t, Config{Workers: 1})
-	defer s.Close()
+	defer shutdown(t, s)
 	s.Start()
 
 	running, err := s.Submit(slowSpec("victim-running"))
@@ -303,7 +311,7 @@ func TestBudgetSharedAcrossJobs(t *testing.T) {
 		workers := workers
 		t.Run(map[int]string{1: "workers1", 2: "workers2", 4: "workers4"}[workers], func(t *testing.T) {
 			s := newServer(t, Config{Workers: workers})
-			defer s.Close()
+			defer shutdown(t, s)
 			s.Start()
 			var ids []string
 			for i := 0; i < 5; i++ {
@@ -363,9 +371,7 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 	waitTerminal(t, s, lo.ID, 120*time.Second)
 	waitTerminal(t, s, hi.ID, 120*time.Second)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	shutdown(t, s)
 
 	recs, err := replayFile(filepath.Join(dir, "journal.jsonl"))
 	if err != nil {
@@ -389,8 +395,8 @@ func TestPriorityOrdering(t *testing.T) {
 // TestQueueCountsJobsWaitingForWorkers holds the single worker, then fills
 // the queue: every job waiting for a worker must count as queued in Stats
 // (and so in the queue-depth gauge and admission control) at any moment, so
-// the next submission is bounced. Closing the server with jobs still waiting
-// must return, and the next instance must replay them as queued.
+// the next submission is bounced. Shutting the server down with jobs still
+// waiting must return, and the next instance must replay them as queued.
 func TestQueueCountsJobsWaitingForWorkers(t *testing.T) {
 	const depth = 2
 	dir := t.TempDir()
@@ -418,22 +424,67 @@ func TestQueueCountsJobsWaitingForWorkers(t *testing.T) {
 		t.Fatalf("submit past a full queue: err = %v, want ErrOverloaded", err)
 	}
 
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		shutdown(t, s)
+	}()
 	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
+	case <-closed:
 	case <-time.After(60 * time.Second):
-		t.Fatal("Close did not return with jobs waiting for workers")
+		t.Fatal("shutdown did not return with jobs waiting for workers")
 	}
 	s2 := newServer(t, Config{Dir: dir, Workers: 1, QueueDepth: depth})
-	defer s2.Close()
+	defer shutdown(t, s2)
 	for _, id := range waiting {
 		if v, err := s2.Job(id); err != nil || v.State != StateQueued {
 			t.Errorf("replayed job %s: state %s (%v), want queued", id, v.State, err)
 		}
+	}
+}
+
+// TestForcedDrainStopsRetryBackoff: a drain whose deadline has passed stops
+// a job sleeping in its retry backoff, as it stops a running one, instead of
+// letting it run another attempt. The job stays queued at its first attempt,
+// in memory and in the journal the next instance replays.
+func TestForcedDrainStopsRetryBackoff(t *testing.T) {
+	faultinject.Enable(1, faultinject.Spec{Site: faultinject.SiteDegenerateGroups, Count: 1})
+	defer faultinject.Disable()
+
+	dir := t.TempDir()
+	s := newServer(t, Config{Dir: dir, Workers: 1})
+	s.Start()
+	spec := slowSpec("backoff")
+	spec.Options.OnDegrade = "fail"
+	v, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	// Attempt 1 fails on the injected degenerate group, which is retryable:
+	// queued at attempt 1 with its error set means the runner is in backoff.
+	waitState(t, s, v.ID, 60*time.Second, func(jv View) bool {
+		return jv.State == StateQueued && jv.Attempt == 1 && jv.Error != ""
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if _, err := s.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("forced drain took %v with the job in retry backoff, want under 1s", d)
+	}
+	if got, err := s.Job(v.ID); err != nil || got.State != StateQueued || got.Attempt != 1 {
+		t.Errorf("job after forced drain: state %s at attempt %d (%v), want queued at attempt 1",
+			got.State, got.Attempt, err)
+	}
+
+	s2 := newServer(t, Config{Dir: dir, Workers: 1})
+	defer shutdown(t, s2)
+	if rv, err := s2.Job(v.ID); err != nil || rv.State != StateQueued || rv.Attempt != 1 {
+		t.Errorf("replayed job: state %s at attempt %d (%v), want queued at attempt 1",
+			rv.State, rv.Attempt, err)
 	}
 }
 
@@ -442,7 +493,7 @@ func TestQueueCountsJobsWaitingForWorkers(t *testing.T) {
 // for the whole budget.
 func TestWorkerGrants(t *testing.T) {
 	s := newServer(t, Config{Workers: 2})
-	defer s.Close()
+	defer shutdown(t, s)
 	s.Start()
 	for _, tc := range []struct{ ask, want int }{{0, 2}, {3, 2}, {1, 1}} {
 		spec := fastSpec("grant", 31)
@@ -463,7 +514,7 @@ func TestWorkerGrants(t *testing.T) {
 // granted is a bookkeeping bug and must not pass silently.
 func TestReleaseMoreThanGrantedPanics(t *testing.T) {
 	s := newServer(t, Config{Workers: 2})
-	defer s.Close()
+	defer shutdown(t, s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("release of an ungranted worker did not panic")
@@ -477,7 +528,7 @@ func TestReleaseMoreThanGrantedPanics(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	t.Run("queue-full", func(t *testing.T) {
 		s := newServer(t, Config{Workers: 1, QueueDepth: 1})
-		defer s.Close()
+		defer shutdown(t, s)
 		// Dispatcher never started: the first job sits in the queue.
 		if _, err := s.Submit(fastSpec("a", 1)); err != nil {
 			t.Fatal(err)
@@ -488,7 +539,7 @@ func TestAdmissionControl(t *testing.T) {
 	})
 	t.Run("too-large", func(t *testing.T) {
 		s := newServer(t, Config{Workers: 1, MaxCells: 10})
-		defer s.Close()
+		defer shutdown(t, s)
 		if _, err := s.Submit(fastSpec("big", 1)); err == nil {
 			t.Fatal("oversized job admitted past MaxCells")
 		}
@@ -534,7 +585,7 @@ func TestJournalReplayStates(t *testing.T) {
 	}
 
 	s := newServer(t, Config{Dir: dir, Workers: 1})
-	defer s.Close()
+	defer shutdown(t, s)
 	want := map[string]struct {
 		state    State
 		requeued bool
@@ -588,7 +639,7 @@ func TestReplayedEmptyGenSpecFails(t *testing.T) {
 	}
 
 	s := newServer(t, Config{Dir: dir, Workers: 1})
-	defer s.Close()
+	defer shutdown(t, s)
 	s.Start()
 	for _, id := range []string{"j000000", "j000001"} {
 		v := waitTerminal(t, s, id, 30*time.Second)
@@ -632,7 +683,7 @@ func TestJournalTruncatedTail(t *testing.T) {
 	f.Close()
 
 	s := newServer(t, Config{Dir: dir, Workers: 1})
-	defer s.Close()
+	defer shutdown(t, s)
 	v, err := s.Job("j000000")
 	if err != nil {
 		t.Fatalf("replay after torn tail: %v", err)

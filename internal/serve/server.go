@@ -92,8 +92,8 @@ type Server struct {
 	queue    jobQueue
 	nextSeq  uint64
 	draining bool
-	// drainKill marks that the drain deadline expired and running jobs were
-	// told to checkpoint; their attempts journal EvInterrupt, not EvFail.
+	// drainKill marks that the drain deadline expired and the root context
+	// was canceled; interrupted attempts journal EvInterrupt, not EvFail.
 	drainKill bool
 	running   int
 	inUse     int
@@ -101,7 +101,9 @@ type Server struct {
 
 	// wake (capacity 1) is signaled when the queue gains a job, a runner
 	// returns its workers, or drain begins; the dispatcher is its only reader.
-	wake       chan struct{}
+	wake chan struct{}
+	// rootCtx is the parent of every attempt's context; canceling it stops
+	// the dispatcher, running attempts and retry backoffs alike.
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 
@@ -495,10 +497,12 @@ func (s *Server) JobDir(id string) string {
 }
 
 // Drain performs graceful shutdown: stop admitting, let running jobs finish,
-// and when ctx expires before they do, cancel them so they checkpoint their
-// best iterate and journal an interrupt record for the next instance to
-// requeue. Returns the number of jobs that had to checkpoint. The journal is
-// closed; the server cannot be reused.
+// and when ctx expires before they do, cancel the root context every attempt
+// derives from. Running jobs then checkpoint their best iterate and journal
+// an interrupt record for the next instance to requeue; a job sleeping in
+// its retry backoff stays queued without starting another attempt. Returns
+// the number of jobs that had to checkpoint. The journal is closed; the
+// server cannot be reused.
 func (s *Server) Drain(ctx context.Context) (checkpointed int, err error) {
 	s.mu.Lock()
 	if s.draining {
@@ -518,21 +522,13 @@ func (s *Server) Drain(ctx context.Context) (checkpointed int, err error) {
 	select {
 	case <-finished:
 	case <-ctx.Done():
-		// Deadline: tell every running job to checkpoint now.
+		// Deadline: running jobs checkpoint now, and jobs sleeping in
+		// their retry backoff stay queued.
 		s.mu.Lock()
 		s.drainKill = true
-		var cancels []context.CancelFunc
-		//placelint:ignore maporder collecting cancel funcs; invocation order is irrelevant
-		for _, j := range s.jobs {
-			if j.State == StateRunning && j.cancel != nil {
-				cancels = append(cancels, j.cancel)
-			}
-		}
 		s.mu.Unlock()
-		for _, c := range cancels {
-			c()
-		}
-		s.runners.Wait()
+		s.rootCancel()
+		<-finished
 	}
 	// Stop the dispatcher (it may be waiting for a job or a free worker).
 	s.rootCancel()
@@ -573,33 +569,6 @@ func (s *Server) checkpointedCount() int {
 	return n
 }
 
-// Close shuts the server down immediately (tests): cancel everything, wait
-// for runners, close the journal.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	alreadyDraining := s.draining
-	s.draining = true
-	s.drainKill = true
-	var cancels []context.CancelFunc
-	//placelint:ignore maporder collecting cancel funcs; invocation order is irrelevant
-	for _, j := range s.jobs {
-		if j.cancel != nil {
-			cancels = append(cancels, j.cancel)
-		}
-	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-	s.rootCancel()
-	s.runners.Wait()
-	<-s.dispatchedOrNever()
-	if alreadyDraining {
-		return nil // Drain already owns the journal shutdown
-	}
-	return s.journal.Close()
-}
-
 // signal performs a nonblocking send on a capacity-1 wake channel.
 func signal(ch chan struct{}) {
 	select {
@@ -638,12 +607,13 @@ func (s *Server) runJob(job *Job, grant int) {
 // should run again (after this call journaled the retry record and slept
 // the backoff), and done=true when the job reached a terminal state.
 func (s *Server) runAttempt(job *Job, grant int) (retry, done bool) {
-	jobCtx, cancel := context.WithCancel(context.Background())
+	jobCtx, cancel := context.WithCancel(s.rootCtx)
 	defer cancel()
 
 	s.mu.Lock()
-	if job.State != StateQueued {
-		// Canceled between dispatch and start.
+	if job.State != StateQueued || jobCtx.Err() != nil {
+		// Canceled between dispatch and start, or a forced drain began: a
+		// queued job stays queued for the next instance.
 		s.mu.Unlock()
 		return false, true
 	}
@@ -722,7 +692,7 @@ func (s *Server) runAttempt(job *Job, grant int) (retry, done bool) {
 		s.metrics.retries.With(result.class()).Inc()
 		s.log.Logf(obs.Warn, "serve", "job %s attempt %d failed (%s); retrying with damped options",
 			job.ID, attempt, result.class())
-		if !s.backoff(jobCtx, nRetries) {
+		if !backoff(jobCtx, nRetries) {
 			// Canceled or drained during backoff; next loop settles state.
 			s.mu.Lock()
 			stillQueued := job.State == StateQueued
@@ -743,8 +713,8 @@ func (s *Server) runAttempt(job *Job, grant int) (retry, done bool) {
 }
 
 // backoff sleeps the damped-retry delay (100ms doubling per retry, capped at
-// 2s), returning false when ctx or the server root context expired first.
-func (s *Server) backoff(ctx context.Context, retries int) bool {
+// 2s), returning false when ctx expired first.
+func backoff(ctx context.Context, retries int) bool {
 	d := 100 * time.Millisecond << uint(retries-1)
 	if d > 2*time.Second {
 		d = 2 * time.Second
@@ -755,8 +725,6 @@ func (s *Server) backoff(ctx context.Context, retries int) bool {
 	case <-t.C:
 		return true
 	case <-ctx.Done():
-		return false
-	case <-s.rootCtx.Done():
 		return false
 	}
 }
@@ -915,7 +883,6 @@ func (s *Server) place(ctx context.Context, job *Job, spec *JobSpec, workers, re
 func buildOptions(spec *JobSpec, workers, retries int) core.Options {
 	o := spec.Options
 	opt := core.Options{
-		Timeout:    0, // the job deadline context already bounds the run
 		Multilevel: o.Multilevel,
 		Global: global.Options{
 			WLModel:       o.Model,
